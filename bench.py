@@ -294,8 +294,8 @@ def run_bench() -> dict:
     _mark("tpch_ppr")
     t0 = time.perf_counter()
     eng.run("hits", {"rounds": 5})
-    eng.shutdown()
     timings["tpch_hits"] = time.perf_counter() - t0
+    eng.shutdown()
     _mark("tpch_hits")
 
     # ---- near-dup clustering pipeline over the sf documents (fast

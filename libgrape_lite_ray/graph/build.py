@@ -9,16 +9,24 @@ basic_fragment_loader.h:83-364): instead of MPI shuffles we use
      (basic_fragment_loader.h:221-236 analog),
   2. a global sort by oid + per-block offsets to assign dense gids in
      oid-sorted order (so gid order == oid order; see ids.py),
-  3. degree-aware contiguous partition boundaries
+  3. degree-aware contiguous partition boundaries from compact
+     per-block weight summaries, fed to ``ids.weighted_partition_starts``
      (grape/worker/rebalancer.h analog),
   4. a vectorized oid->gid translation (`pc.index_in` against the
      broadcast sorted-oid dictionary, or a Dataset.join at scale),
-  5. a partitioned Parquet "spool" keyed by owner-of-src so each
-     fragment actor reads exactly its own edges
-     (basic_fragment_loader.h:155-172 edge routing analog).
+  5. a ROUTE-ONLY partitioned Parquet "spool": a map-side split by
+     owner-of-src, so each fragment actor reads exactly its own edges
+     (basic_fragment_loader.h:155-172 edge routing analog) and no
+     all-to-all sort runs over the edge set.
 
-Multi-edge dedup happens inside the fragment (all out-edges of a vertex
-are colocated), matching mutable_csr.h:313-389's sorted dedup.
+Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4: gid == oid,
+and the boundaries come from one fixed-size endpoint histogram.
+
+Each fragment sorts its own slice by (src, dst) and dedups multi-edges
+at load (all out-edges of a vertex are colocated), matching
+immutable_csr.h:100-107's per-vertex neighbour sort and
+mutable_csr.h:313-389's sorted dedup; the CSR snapshot caches the
+result.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..ids import part_of, partition_starts, weighted_partition_starts
+from ..ids import part_of, weighted_partition_starts
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
 
@@ -132,7 +140,6 @@ def build_graph(
     *,
     directed: bool = True,
     symmetrize: bool = False,
-    degree_aware: bool = True,
     weight_col: str | None = None,
     broadcast_threshold: int = 4_000_000,
     fingerprint: str = "",
@@ -140,7 +147,6 @@ def build_graph(
     dense_int_oids: bool = False,
     vdata_ds=None,
     vertices_ds=None,
-    sort_spool: bool = True,
     load_strategy: str = "out",
 ) -> GraphMeta:
     """Build the on-disk graph layout from an edge Dataset with columns
@@ -169,9 +175,7 @@ def build_graph(
     still get gids (isolated, dangling for PageRank), and a later
     ``mutate_graph`` delta may reference them.
     """
-    import ray
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     # Atomic build: spool into a temp dir, rename into place only on
     # success.  A crashed build otherwise leaves partial uuid-named
@@ -211,38 +215,17 @@ def build_graph(
     if dense_int_oids:
         return _finalize(_build_dense_int(
             edges_ds, work_dir, num_partitions, directed, symmetrize,
-            degree_aware, weight_col, fingerprint,
+            weight_col, fingerprint,
         ))
     if reuse_vertices_from is not None and symmetrize:
         # symmetrized variant of an already-built graph: skip the url
         # table entirely — union the donor's gid spool with its reverse
         # (no dictionary rebuild, no re-translate)
         return _finalize(_build_symmetrized_from_donor(
-            reuse_vertices_from, work_dir, weight_col, degree_aware, fingerprint,
+            reuse_vertices_from, work_dir, fingerprint,
         ))
 
-    cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-    edges_ds = edges_ds.select_columns(cols)
-    if weight_col and weight_col != "w":
-        edges_ds = edges_ds.rename_columns({weight_col: "w"})
-    # the build consumes the edge table twice (vertex dict, then
-    # translate+spool); pin the PROJECTED columns so the upstream
-    # pipeline (e.g. html extraction) doesn't re-execute — the object
-    # store spills if it exceeds memory
-    edges_ds = edges_ds.materialize()
-    n_blocks = edges_ds.num_blocks()
-
-    if symmetrize:
-        def rev(t: pa.Table) -> pa.Table:
-            d = {"src": t.column("dst"), "dst": t.column("src")}
-            if weight_col:
-                d["w"] = t.column("w")
-            return pa.table(d)
-
-        edges_ds = edges_ds.union(
-            edges_ds.map_batches(rev, batch_format="pyarrow", batch_size=None)
-        )
-        n_blocks *= 2
+    edges_ds, n_blocks = _prepare_edges(edges_ds, weight_col, symmetrize)
 
     # coalesce shattered inputs once: every downstream pass (dict sort,
     # translate, spool) pays per-block overhead
@@ -344,13 +327,10 @@ def build_graph(
         raise ValueError("empty edge input")
 
     num_partitions = min(num_partitions, max(1, num_vertices))
-    if degree_aware and sample_gids:
-        starts = weighted_partition_starts(
-            np.concatenate(sample_gids), np.concatenate(sample_w),
-            num_vertices, num_partitions,
-        )
-    else:
-        starts = partition_starts(num_vertices, num_partitions)
+    starts = weighted_partition_starts(
+        np.concatenate(sample_gids), np.concatenate(sample_w),
+        num_vertices, num_partitions,
+    )
 
     # ---- 3. write vertex dict (oid, gid, weight), preserving block order
     def assign_gids(t: pa.Table) -> pa.Table:
@@ -397,29 +377,23 @@ def build_graph(
     return _finalize(_spool_and_finish(
         edges_gid, work_dir, num_vertices, num_partitions, starts,
         directed and not symmetrize, oid_type, bool(weight_col), fingerprint,
-        sort_spool=sort_spool,
     ))
 
 
-def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
-                     degree_aware, weight_col, fingerprint) -> GraphMeta:
-    """Fast path when oids are already dense int64 ids (0..V-1): gid ==
-    oid, no dictionary build or translate — one sampled-degree pass for
-    boundaries, then route to the spool.  The production path for
-    pre-normalized inputs (the reference's int-oid graphs with a dense
-    id space)."""
-    from ray.data.aggregate import Max
-
+def _prepare_edges(edges_ds, weight_col, symmetrize: bool):
+    """Project to ``src``/``dst`` (+ ``w``), pin the projection, and for
+    ``symmetrize`` union in every edge reversed.  Returns the Dataset
+    and its block count."""
     cols = ["src", "dst"] + ([weight_col] if weight_col else [])
     edges_ds = edges_ds.select_columns(cols)
     if weight_col and weight_col != "w":
         edges_ds = edges_ds.rename_columns({weight_col: "w"})
+    # the build consumes the edge table more than once (summaries, then
+    # translate+spool); pin the PROJECTED columns so the upstream
+    # pipeline (e.g. html extraction) doesn't re-execute — the object
+    # store spills if it exceeds memory
     edges_ds = edges_ds.materialize()
-
-    agg = edges_ds.aggregate(Max("src", alias_name="ms"), Max("dst", alias_name="md"))
-    V = int(max(agg["ms"], agg["md"])) + 1
-    P = min(num_partitions, max(1, V))
-
+    n_blocks = edges_ds.num_blocks()
     if symmetrize:
         def rev(t: pa.Table) -> pa.Table:
             d = {"src": t.column("dst"), "dst": t.column("src")}
@@ -430,26 +404,65 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
         edges_ds = edges_ds.union(
             edges_ds.map_batches(rev, batch_format="pyarrow", batch_size=None)
         )
+        n_blocks *= 2
+    return edges_ds, n_blocks
 
-    if degree_aware:
-        n_rows = max(edges_ds.count(), 1)
-        frac = min(1.0, 2_000_000 / n_rows)
-        cols2 = edges_ds.select_columns(["src", "dst"])
-        samp = (cols2.random_sample(frac, seed=42).to_pandas()
-                if frac < 1.0 else cols2.to_pandas())
-        # total degree (both endpoints), matching _endpoint_weight_table:
-        # donor starts then stay valid for a symmetrized-from-donor build
-        w = (np.bincount(samp["src"].to_numpy(), minlength=V)
-             + np.bincount(samp["dst"].to_numpy(), minlength=V)).astype(np.float64)
-        w = w / max(frac, 1e-9) + 1.0
-        cum = np.cumsum(w)
-        targets = cum[-1] * np.arange(1, P) / P
-        inner = np.searchsorted(cum, targets).astype(np.int64)
-        starts = np.maximum.accumulate(
-            np.concatenate([[0], np.minimum(inner + 1, V), [V]])
-        ).astype(np.int64)
-    else:
-        starts = partition_starts(V, P)
+
+_HIST_BUCKETS = 1 << 20
+
+
+def _dense_int_starts(edges_ds, num_vertices: int, num_partitions: int) -> np.ndarray:
+    """Total-degree-balanced starts for dense int oids from ONE pass:
+    every block emits a fixed-size histogram of both endpoints over
+    ``B = min(V, 2**20)`` equal-width gid buckets, the driver sums them
+    in O(B) and weighs bucket b by its endpoint count plus its vertex
+    count (the +1 vertex factor of ``_endpoint_weight_table``'s
+    summaries).  With B == V this is exactly the per-vertex
+    ``deg + 1`` split; above 2**20 vertices the boundaries snap to
+    bucket ends and driver memory stays O(2**20), not O(V)."""
+    V = int(num_vertices)
+    B = min(V, _HIST_BUCKETS)
+
+    def hist(t: pa.Table) -> pa.Table:
+        h = np.zeros(B, np.int64)
+        for c in ("src", "dst"):
+            g = t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+            h += np.bincount(g * B // V, minlength=B)  # bucket of gid g
+        return pa.table({"hist": pa.ListArray.from_arrays(
+            pa.array([0, B], pa.int32()), pa.array(h))})
+
+    w = np.zeros(B, np.float64)
+    for batch in (edges_ds.select_columns(["src", "dst"])
+                  .map_batches(hist, batch_format="pyarrow", batch_size=None)
+                  .iter_batches(batch_format="pyarrow", batch_size=None)):
+        flat = batch.column("hist").combine_chunks().flatten()
+        w += flat.to_numpy().reshape(-1, B).sum(axis=0)
+    # bucket b holds gids [ceil(b*V/B), ceil((b+1)*V/B)); in-place
+    # arithmetic keeps the driver at a few B-sized arrays
+    ends = np.arange(1, B + 1, dtype=np.int64)
+    ends *= V
+    ends += B - 1
+    ends //= B
+    w += ends
+    w[1:] -= ends[:-1]  # + vertices per bucket
+    ends -= 1  # last gid of each bucket
+    return weighted_partition_starts(ends, w, V, num_partitions)
+
+
+def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
+                     weight_col, fingerprint) -> GraphMeta:
+    """Fast path when oids are already dense int64 ids (0..V-1): gid ==
+    oid, no dictionary build or translate — one histogram pass for
+    boundaries, then route to the spool.  The production path for
+    pre-normalized inputs (the reference's int-oid graphs with a dense
+    id space)."""
+    from ray.data.aggregate import Max
+
+    edges_ds, _ = _prepare_edges(edges_ds, weight_col, symmetrize)
+    agg = edges_ds.aggregate(Max("src", alias_name="ms"), Max("dst", alias_name="md"))
+    V = int(max(agg["ms"], agg["md"])) + 1
+    P = min(num_partitions, max(1, V))
+    starts = _dense_int_starts(edges_ds, V, P)
 
     def to_gid(t: pa.Table) -> pa.Table:
         d = {"src_gid": t.column("src").cast(pa.int64()),
@@ -474,7 +487,7 @@ def reverse_graph(meta: GraphMeta, rev_dir: str | None = None) -> GraphMeta:
     immutable_edgecut_fragment.h:79-114): derive a reversed-direction
     spool from an already-built graph with ONE route-only pass over the
     gid spool — no re-extract, no dictionary translate, no global sort
-    (fragments lexsort their slice once; the CSR snapshot caches it).
+    (fragments sort their slice at load; the CSR snapshot caches it).
 
     Returns a GraphMeta whose fragments' out-CSR is the donor's in-CSR
     and which shares the donor's vertex dictionary, so every program
@@ -509,7 +522,6 @@ def reverse_graph(meta: GraphMeta, rev_dir: str | None = None) -> GraphMeta:
         tmp_dir, meta.num_vertices, meta.num_partitions, meta.starts,
         meta.directed, meta.oid_type, meta.has_weights,
         (meta.fingerprint + ":rev") if meta.fingerprint else "",
-        sort_spool=False,
     )
     if meta.extra.get("identity_oids"):
         rmeta.extra["identity_oids"] = True
@@ -538,7 +550,6 @@ def _copy_vertices(donor: GraphMeta, work_dir: str):
 
 
 def _build_symmetrized_from_donor(donor: GraphMeta, work_dir: str,
-                                  weight_col, degree_aware: bool,
                                   fingerprint: str) -> GraphMeta:
     """Undirected variant with ZERO new edge movement: the symmetrized
     spool for partition p is (donor out-edges of p) ∪ (donor in-edges
@@ -582,9 +593,6 @@ def _build_symmetrized_from_donor(donor: GraphMeta, work_dir: str,
         oid_type=donor.oid_type, has_weights=donor.has_weights,
         fingerprint=fingerprint,
     )
-    # mixed file naming (donor may be sort-spooled, rev is route-only):
-    # fragments lexsort their slice at first load, snapshot caches it
-    meta.extra["spool_sorted"] = False
     if donor.extra.get("identity_oids"):
         meta.extra["identity_oids"] = True
     meta.save()
@@ -618,95 +626,44 @@ def _translate_broadcast(edges_ds, sorted_oids: pa.Array, num_partitions: int):
 
 
 def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
-                      directed, oid_type, has_weights, fingerprint,
-                      sort_spool: bool = True) -> GraphMeta:
-    # ---- 5. spool.  Two strategies:
-    # - sort_spool=True: ONE distributed sort by (src_gid, dst_gid) —
-    #   routes rows to their owner partition (contiguous gid ranges)
-    #   AND pre-orders them for CSR, so fragment actors skip their
-    #   per-actor lexsort at every engine load (immutable_csr.h:100-107
-    #   neighbor ordering, done once at build instead of per load).
-    # - sort_spool=False: ROUTE-ONLY — a map-side split by owner with
-    #   no all-to-all sort network at all; fragments lexsort their own
-    #   slice once at first load and the CSR snapshot caches the
-    #   result.  This trades one cheap per-partition sort for the
-    #   cluster-wide exchange — the right default when the input is
-    #   derived from an already-routed spool (symmetrized variants).
+                      directed, oid_type, has_weights, fingerprint) -> GraphMeta:
+    # ---- 5. route-only spool: a map-side split by owner with no
+    # all-to-all sort network; fragments sort their own slice at load
+    # and the CSR snapshot caches the result (the reference likewise
+    # routes by owner, basic_fragment_loader.h:155-172, and sorts only
+    # per-vertex neighbour lists, immutable_csr.h:100-107)
     spool = os.path.join(work_dir, "edges")
     os.makedirs(spool, exist_ok=True)
     starts_list = starts  # closure capture (tiny)
-    if not sort_spool:
-        def route_spool(t: pa.Table) -> pa.Table:
-            sg = t.column("src_gid").to_numpy(zero_copy_only=False)
-            parts = part_of(sg, starts_list)
-            fid = uuid.uuid4().hex[:12]
-            counts = []
-            for p in np.unique(parts):
-                sub = t.filter(pa.array(parts == p))
-                pdir = os.path.join(spool, f"part={p}")
-                os.makedirs(pdir, exist_ok=True)
-                pq.write_table(sub, os.path.join(pdir, f"{fid}_{int(p)}.parquet"))
-                counts.append((int(p), len(sub)))
-            return pa.table({"part": pa.array([c[0] for c in counts], pa.int32()),
-                             "rows": pa.array([c[1] for c in counts], pa.int64())})
 
-        # large coalesced batches: per-BLOCK routing on a many-block
-        # input writes O(blocks x P) tiny parquet files (8k files / 60KB
-        # each observed on the 32M-row web graph — file-open overhead
-        # then dominates every fragment load); 4M-row batches bound the
-        # file count to O(E/4M x P) real files
-        stats = edges_gid.map_batches(route_spool, batch_format="pyarrow",
-                                      batch_size=4_000_000)
-        num_edges = int(sum(r["rows"] for r in stats.take_all()))
-        meta = GraphMeta(
-            work_dir=work_dir, num_vertices=int(num_vertices),
-            num_edges=num_edges, num_partitions=int(num_partitions),
-            starts=np.asarray(starts, dtype=np.int64), directed=directed,
-            oid_type=oid_type, has_weights=has_weights, fingerprint=fingerprint,
-        )
-        meta.extra["spool_sorted"] = False
-        meta.save()
-        return meta
-    edges_gid = edges_gid.sort(["src_gid", "dst_gid"])
-
-    def write_spool(t: pa.Table) -> pa.Table:
+    def route_spool(t: pa.Table) -> pa.Table:
         sg = t.column("src_gid").to_numpy(zero_copy_only=False)
-        parts = part_of(sg, starts_list)  # already ascending (sorted input)
-        bounds = np.searchsorted(parts, np.arange(len(starts_list)))
+        parts = part_of(sg, starts_list)
         fid = uuid.uuid4().hex[:12]
-        dg = t.column("dst_gid").to_numpy(zero_copy_only=False)
         counts = []
         for p in np.unique(parts):
-            lo, hi = bounds[p], bounds[p + 1] if p + 1 < len(bounds) else len(t)
-            sub = t.slice(lo, hi - lo)
+            sub = t.filter(pa.array(parts == p))
             pdir = os.path.join(spool, f"part={p}")
             os.makedirs(pdir, exist_ok=True)
-            # full-sort-key-prefixed name (min src, then min dst): lexical
-            # file order == gid order even when one src's run straddles a
-            # sort-output block boundary.  Ties on duplicate (src,dst)
-            # keys remain possible pre-dedup, so Fragment additionally
-            # verifies monotonicity at load and lexsorts on violation.
-            pq.write_table(sub, os.path.join(
-                pdir, f"{int(sg[lo]):012d}_{int(dg[lo]):012d}_{fid}.parquet"))
-            counts.append((int(p), hi - lo))
+            pq.write_table(sub, os.path.join(pdir, f"{fid}_{int(p)}.parquet"))
+            counts.append((int(p), len(sub)))
         return pa.table({"part": pa.array([c[0] for c in counts], pa.int32()),
                          "rows": pa.array([c[1] for c in counts], pa.int64())})
 
-    stats = edges_gid.map_batches(write_spool, batch_format="pyarrow", batch_size=None)
+    # large coalesced batches: per-BLOCK routing on a many-block input
+    # writes O(blocks x P) tiny parquet files (8k files / 60KB each
+    # observed on the 32M-row web graph — file-open overhead then
+    # dominates every fragment load); 4M-row batches bound the file
+    # count to O(E/4M x P) real files
+    stats = edges_gid.map_batches(route_spool, batch_format="pyarrow",
+                                  batch_size=4_000_000)
     num_edges = int(sum(r["rows"] for r in stats.take_all()))
-
     meta = GraphMeta(
-        work_dir=work_dir,
-        num_vertices=int(num_vertices),
-        num_edges=num_edges,
-        num_partitions=int(num_partitions),
-        starts=np.asarray(starts, dtype=np.int64),
-        directed=directed,
-        oid_type=oid_type,
-        has_weights=has_weights,
-        fingerprint=fingerprint,
+        work_dir=work_dir, num_vertices=int(num_vertices),
+        num_edges=num_edges, num_partitions=int(num_partitions),
+        starts=np.asarray(starts, dtype=np.int64), directed=directed,
+        oid_type=oid_type, has_weights=has_weights, fingerprint=fingerprint,
     )
-    meta.extra["spool_sorted"] = True
     meta.save()
     return meta
 

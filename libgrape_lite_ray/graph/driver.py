@@ -95,23 +95,23 @@ class FragmentHost:
     """
 
     def __init__(self, host_id: int, part_ids, host_of, work_dir: str, starts,
-                 has_weights: bool, sorted_spool: bool = False, vdata_cols=None):
+                 has_weights: bool, vdata_cols=None):
         # per-actor, not at library import: the superstep loop's NumPy
         # temp churn is what needs resident-heap malloc (see memtune)
         from ..memtune import keep_heap_resident
 
         keep_heap_resident()
         self._bind(host_id, part_ids, host_of, work_dir, starts, has_weights,
-                   sorted_spool, vdata_cols)
+                   vdata_cols)
 
     def _bind(self, host_id, part_ids, host_of, work_dir, starts, has_weights,
-              sorted_spool, vdata_cols):
+              vdata_cols):
         self.host_id = int(host_id)
         self.parts = [int(p) for p in part_ids]
         self.host_of = np.asarray(host_of, np.int64)
         st = np.asarray(starts, np.int64)
-        self.frags = {p: Fragment(p, work_dir, st, has_weights, sorted_spool,
-                                  vdata_cols) for p in self.parts}
+        self.frags = {p: Fragment(p, work_dir, st, has_weights, vdata_cols)
+                      for p in self.parts}
         self.programs: dict[int, object] = {}
         self._own_payload: dict[int, dict] = {}
         # intra-host parallelism over co-hosted fragments (the
@@ -163,11 +163,11 @@ class FragmentHost:
         return True
 
     def reload(self, host_id: int, part_ids, host_of, work_dir: str, starts,
-               has_weights: bool, sorted_spool: bool = False, vdata_cols=None):
+               has_weights: bool, vdata_cols=None):
         """Rebind this actor to another built graph — reusing a warm
         actor pool skips process spawn + imports (~5s for 32 actors)."""
         self._bind(host_id, part_ids, host_of, work_dir, starts, has_weights,
-                   sorted_spool, vdata_cols)
+                   vdata_cols)
         return True
 
     # ---------------------------------------------------------- vdata sync
@@ -608,7 +608,6 @@ class GraphEngine:
             host_of[g] = h
         self.host_of = host_of
         vdata_cols = meta.extra.get("vdata_cols")
-        spool_sorted = bool(meta.extra.get("spool_sorted"))
         if (reuse_engine is not None and len(reuse_engine.actors) == H
                 and reuse_engine.groups == groups):
             # adopt the warm pool (ownership transfers; the donor engine
@@ -617,8 +616,7 @@ class GraphEngine:
             reuse_engine.actors = []
             ray.get([
                 a.reload.remote(h, groups[h], host_of, meta.work_dir,
-                                meta.starts.tolist(), meta.has_weights,
-                                spool_sorted, vdata_cols)
+                                meta.starts.tolist(), meta.has_weights, vdata_cols)
                 for h, a in enumerate(self.actors)
             ])
         else:
@@ -627,8 +625,7 @@ class GraphEngine:
             Host = ray.remote(num_cpus=num_cpus_per_actor)(FragmentHost)
             self.actors = [
                 Host.remote(h, groups[h], host_of, meta.work_dir,
-                            meta.starts.tolist(), meta.has_weights,
-                            spool_sorted, vdata_cols)
+                            meta.starts.tolist(), meta.has_weights, vdata_cols)
                 for h in range(H)
             ]
         self._vdata_cols = vdata_cols

@@ -44,7 +44,7 @@ _SNAP_OPTIONAL = ("edge_w", "w_by_tgt")
 
 class Fragment:
     def __init__(self, part_id: int, work_dir: str, starts: np.ndarray,
-                 has_weights: bool = False, sorted_spool: bool = False,
+                 has_weights: bool = False,
                  vdata_cols: list[str] | None = None):
         self.part = int(part_id)
         self.starts = np.asarray(starts, dtype=np.int64)
@@ -89,19 +89,7 @@ class Fragment:
             dst = np.empty(0, np.int64)
             w = np.empty(0, np.float64) if has_weights else None
 
-        # sort by (src, dst) — skipped when the build pre-sorted the
-        # spool (files are (min_src,min_dst)-named so sorted glob order
-        # == gid order).  Even then, VERIFY monotonicity of the
-        # concatenated stream (one O(E) vectorized pass, trivially cheap
-        # vs the parquet read): duplicate (src,dst) keys straddling a
-        # sort-output block boundary can tie on the filename prefix and
-        # land in uuid order.  Silent CSR corruption otherwise — see
-        # VERDICT.md round-1 bug #1.  Then dedup unless weighted.
-        need_sort = not sorted_spool
-        if sorted_spool and len(src) > 1:
-            mono = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] >= dst[:-1]))
-            need_sort = not bool(mono.all())
-        self._finalize(src, dst, w, need_sort)
+        self._finalize(src, dst, w)
         self.loaded_from_snapshot = False
         # snapshot write is ASYNC: ~50-100MB of arrays per partition
         # would otherwise serialize into every FIRST load (5s+ across an
@@ -274,12 +262,18 @@ class Fragment:
             self.vdata_full[c] = full
 
     # ---------------------------------------------------------- CSR build
-    def _finalize(self, src: np.ndarray, dst: np.ndarray, w, need_sort: bool):
+    def _finalize(self, src: np.ndarray, dst: np.ndarray, w):
         """Build every derived array (CSR, transpose, mirror layout)
-        from gid-space edge arrays.  Shared by the spool load path and
-        in-place mutation rebuilds (``apply_edge_mutations``)."""
-        if need_sort and len(src) > 1:
-            order = np.lexsort((dst, src))
+        from gid-space edge arrays in any order.  Shared by the spool
+        load path and in-place mutation rebuilds
+        (``apply_edge_mutations``).
+
+        Sorts by (src, dst) — immutable_csr.h:100-107 neighbour order —
+        then dedups unless weighted.  Weighted multi-edges tie-break on
+        the weight, so their order (and any float sum over them) does
+        not depend on spool file order."""
+        if len(src) > 1:
+            order = np.lexsort((dst, src) if w is None else (w, dst, src))
             src, dst = src[order], dst[order]
             if w is not None:
                 w = w[order]
@@ -382,7 +376,7 @@ class Fragment:
             t.join()  # writer reads _snap_path; let the PRE-mutation
             # snapshot finish (it matches the spool, so it stays valid)
         self._snap_path = None  # mutated CSR must never shadow the spool
-        self._finalize(ns, nd, nw, need_sort=True)
+        self._finalize(ns, nd, nw)
         self.loaded_from_snapshot = False
         # vdata_full buffers are tvnum-sized: re-seat the inner segment;
         # the engine re-syncs the outer (mirror) segment after the

@@ -100,18 +100,15 @@ def _mutate_partition(spool_dir: str, p: int, out_pdir: str, has_w: bool,
     pos = np.searchsorted(key_final, cur_key)
     pos = np.minimum(pos, len(key_final) - 1) if len(key_final) else pos
     touched = (key_final[pos] == cur_key) if len(key_final) else np.zeros(len(cur_key), bool)
+    # unsorted, like every spool: the fragment sorts its slice at load
     ns = np.concatenate([cs[~touched], s_final[keep_mask]])
-    nd = np.concatenate([cd[~touched], d_final[keep_mask]])
-    order = np.lexsort((nd, ns))
-    ns, nd = ns[order], nd[order]
-    out = {"src_gid": ns, "dst_gid": nd}
+    out = {"src_gid": ns, "dst_gid": np.concatenate([cd[~touched], d_final[keep_mask]])}
     if has_w:
-        nw = np.concatenate([cw[~touched], w_final[keep_mask]])[order]
-        out["w"] = nw
+        out["w"] = np.concatenate([cw[~touched], w_final[keep_mask]])
     os.makedirs(out_pdir, exist_ok=True)
     if len(ns):
-        name = f"{int(ns[0]):012d}_{int(nd[0]):012d}_{uuid.uuid4().hex[:12]}.parquet"
-        pq.write_table(pa.table(out), os.path.join(out_pdir, name))
+        pq.write_table(pa.table(out),
+                       os.path.join(out_pdir, f"{uuid.uuid4().hex[:12]}.parquet"))
     return len(ns)
 
 
@@ -227,7 +224,6 @@ def mutate_graph(meta: GraphMeta, delta: pa.Table, out_dir: str) -> GraphMeta:
         fingerprint=f"{meta.fingerprint}+delta" if meta.fingerprint else "",
         extra=dict(meta.extra),
     )
-    new_meta.extra["spool_sorted"] = True
     new_meta.save()
     try:
         os.rename(work, out_dir)

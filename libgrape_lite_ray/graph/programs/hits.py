@@ -90,6 +90,7 @@ class HITS(VertexProgram):
         if rnd > last:  # finalize: the last hub norm just arrived
             nh = self.gl.get("nh", 0.0) or 1.0
             self.h_norm = self.h_raw / nh
+            self.step_no = rnd
             return 0
         if rnd % 2 == 1:  # a-phase (iteration k = (rnd+1)//2)
             div = 1.0 if rnd == 1 else (self.gl.get("nh", 0.0) or 1.0)
@@ -112,6 +113,13 @@ class HITS(VertexProgram):
         return 1
 
     def output(self):
+        if self.step_no <= 2 * self.rounds:
+            import warnings
+
+            warnings.warn(
+                f"hits stopped at superstep {self.step_no} before its finalize "
+                f"superstep {2 * self.rounds + 1}: hub scores are not final "
+                "(raise max_rounds)", RuntimeWarning, stacklevel=2)
         return {"gid": self.frag.inner_gids(),
                 "authority": self.a_norm, "hub": self.h_norm}
 

@@ -40,6 +40,12 @@ class PPR(VertexProgram):
         self.sources = np.asarray(sorted(int(s) for s in sources), np.int64)
         if len(self.sources) == 0:
             raise ValueError("ppr needs at least one source gid")
+        # an unowned seed's restart mass would vanish and silently scale
+        # every rank down
+        V = int(frag.starts[-1])
+        bad = self.sources[(self.sources < 0) | (self.sources >= V)]
+        if len(bad):
+            raise ValueError(f"ppr source gids {bad.tolist()} outside [0, {V})")
         self.rounds = int(rounds)
         self.d = float(damping)
         self.weighted = bool(weighted)

@@ -114,7 +114,7 @@ def derived_vdata_str(sf_dir: str):
 
 def _cache_dir(sf_dir: str, variant: str) -> str:
     li = os.path.join(sf_dir, "lineitem.parquet")
-    tag = hashlib.md5(f"{os.path.abspath(sf_dir)}|{os.path.getmtime(li)}|{variant}|v1".encode()).hexdigest()[:16]
+    tag = hashlib.md5(f"{os.path.abspath(sf_dir)}|{os.path.getmtime(li)}|{variant}|v2".encode()).hexdigest()[:16]
     return os.path.join(_CACHE_ROOT, tag)
 
 

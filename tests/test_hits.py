@@ -3,7 +3,12 @@ ranking, structure sanity on a known hub/authority topology, and
 checkpoint/resume through the per-round Communicator channel (the
 in-flight global norm must survive a mid-run restore)."""
 
+import os
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 
 
 def _numpy_hits(n, src, dst, iters):
@@ -104,3 +109,21 @@ def test_hits_resume_midrun(ray_session, tmp_work):
                                   want["authority"].to_numpy())
     np.testing.assert_array_equal(got["hub"].to_numpy(),
                                   want["hub"].to_numpy())
+
+
+def test_hits_output_warns_before_finalize(tmp_work):
+    """A run cut before the finalize superstep has all-zero hubs; its
+    output must say so instead of passing them off as scores."""
+    from libgrape_lite_ray.graph.fragment import Fragment
+    from libgrape_lite_ray.graph.programs.hits import HITS
+
+    d = os.path.join(tmp_work, "edges", "part=0")
+    os.makedirs(d)
+    pq.write_table(pa.table({"src_gid": pa.array([1, 2, 3], pa.int64()),
+                             "dst_gid": pa.array([0, 0, 0], pa.int64())}),
+                   os.path.join(d, "e.parquet"))
+    prog = HITS(Fragment(0, tmp_work, np.array([0, 4])), rounds=2)
+    prog.init()
+    with pytest.warns(RuntimeWarning, match="finalize"):
+        out = prog.output()
+    assert (out["hub"] == 0).all()

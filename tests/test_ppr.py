@@ -5,6 +5,7 @@ restart-locality checks — the push-channel (mirror_push/export_lids)
 exercise at sum semantics."""
 
 import numpy as np
+import pytest
 
 
 def _numpy_ppr(n, src, dst, sources, rounds, d=0.85):
@@ -97,3 +98,22 @@ def test_ppr_weighted_matches_numpy(ray_session, tmp_work):
         rank = (1 - 0.85) * e + 0.85 * s
     np.testing.assert_allclose(got, rank, rtol=1e-11)
     assert got.sum() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("seed", [-1, 32])
+def test_ppr_rejects_out_of_range_seed(ray_session, tmp_work, seed):
+    """A seed outside [0, V) must raise instead of losing its restart
+    mass and scaling every rank down."""
+    from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
+    from libgrape_lite_ray.graph.driver import GraphEngine
+
+    src = np.arange(32, dtype=np.int64)
+    dst = (src + 1) % 32
+    meta = build_graph(edges_from_numpy(src, dst), f"{tmp_work}/bad", 4,
+                       dense_int_oids=True)
+    eng = GraphEngine(meta)
+    try:
+        with pytest.raises(ValueError, match="outside"):
+            eng.run("ppr", {"sources": [3, seed], "rounds": 4})
+    finally:
+        eng.shutdown()

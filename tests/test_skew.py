@@ -40,8 +40,7 @@ def test_degree_aware_partitions_balance_edges(ray_session, tmp_work):
     n, m = 2000, 60000
     src, dst = fixtures.zipf_graph(n=n, m=m, alpha=1.2)
     P = 4
-    meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "b"), P,
-                       degree_aware=True)
+    meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "b"), P)
     eng = GraphEngine(meta)
     try:
         counts = ray.get([a.edge_count.remote() for a in eng.actors])

@@ -22,15 +22,13 @@ def test_snapshot_roundtrip(ray_session, tmp_work):
     src, dst = fixtures.zipf_graph(n=n, m=1500)
     meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "snap"),
                        4, directed=True)
-    f1 = Fragment(1, meta.work_dir, meta.starts, False,
-                  bool(meta.extra.get("spool_sorted")))
+    f1 = Fragment(1, meta.work_dir, meta.starts, False)
     assert not f1.loaded_from_snapshot
     f1._snap_thread.join(30)  # snapshot writes are async now
     snaps = [p for p in glob.glob(os.path.join(meta.work_dir, "snapshot", "part=1-*"))
              if ".tmp-" not in p]
     assert len(snaps) == 1
-    f2 = Fragment(1, meta.work_dir, meta.starts, False,
-                  bool(meta.extra.get("spool_sorted")))
+    f2 = Fragment(1, meta.work_dir, meta.starts, False)
     assert f2.loaded_from_snapshot
     for k in _SNAP_ARRAYS:
         assert np.array_equal(getattr(f1, k), getattr(f2, k)), k
@@ -56,7 +54,7 @@ def test_snapshot_invalidated_by_rebuild(ray_session, tmp_work):
     src, dst = fixtures.er_components()
     d = os.path.join(tmp_work, "inv")
     meta = build_graph(edges_from_numpy(src, dst), d, 2, directed=True)
-    f1 = Fragment(0, meta.work_dir, meta.starts, False, True)
+    f1 = Fragment(0, meta.work_dir, meta.starts, False)
     deg1 = f1.out_degree.copy()
     f1._snap_thread.join(30)  # let the async writer finish before rmtree
     # rebuild with an extra edge: spool files change -> new fingerprint
@@ -64,6 +62,6 @@ def test_snapshot_invalidated_by_rebuild(ray_session, tmp_work):
     src2 = np.concatenate([src, [0]])
     dst2 = np.concatenate([dst, [50]])
     meta2 = build_graph(edges_from_numpy(src2, dst2), d, 2, directed=True)
-    f2 = Fragment(0, meta2.work_dir, meta2.starts, False, True)
+    f2 = Fragment(0, meta2.work_dir, meta2.starts, False)
     assert not f2.loaded_from_snapshot  # fingerprint mismatch -> rebuilt
     assert f2.out_degree.sum() != deg1.sum() or not np.array_equal(f2.out_degree, deg1)

@@ -1,14 +1,12 @@
-"""Regression tests for the round-1 sorted-spool ordering bug
-(VERDICT.md #1): two sort-output blocks whose boundary falls inside one
-src's (or one (src,dst) duplicate run's) edge list can tie on the spool
-filename prefix, leaving concatenation order to the uuid suffix.  The
-Fragment must detect the non-monotonic stream and lexsort, never
-silently mis-build the CSR.
+"""The edge spool is route-only: spool files reach a fragment in no
+particular order (uuid-named, one per routed batch), so the Fragment
+must sort its slice by (src, dst) and dedup at load.  Regression cover
+for the round-1 spool-ordering bug (VERDICT.md #1), where a
+sorted-spool fast path trusted file order and mis-built the CSR.
 """
 
 import glob
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -16,7 +14,6 @@ import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray import fixtures
-from libgrape_lite_ray.graph import oracle
 from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
 from libgrape_lite_ray.graph.fragment import Fragment
 
@@ -30,46 +27,37 @@ def _write(d, name, rows):
     )
 
 
-def test_fragment_detects_out_of_order_spool(tmp_work):
-    """Adversarial spool: lexical file order != gid order (simulates the
-    uuid tie).  The monotonicity check must trigger the lexsort."""
+@pytest.mark.parametrize("files,v,want,num_edges", [
+    # 'aaaa' sorts before 'zzzz' but holds the LATER half of vertex 5's
+    # run; (5,8) appears in both files
+    ({"aaaa.parquet": [(5, 8), (5, 9)],
+      "zzzz.parquet": [(5, 1), (5, 2), (5, 8)]}, 5, [1, 2, 8, 9], 4),
+    # in-order files still dedup (3,4) across the file boundary
+    ({"aaaa.parquet": [(3, 1), (3, 4)],
+      "bbbb.parquet": [(3, 4), (3, 7), (5, 2)]}, 3, [1, 4, 7], 4),
+], ids=["out_of_order", "in_order_across_files"])
+def test_fragment_sorts_and_dedups_spool(tmp_work, files, v, want, num_edges):
     d = os.path.join(tmp_work, "edges", "part=0")
     os.makedirs(d)
-    # 'aaaa' sorts before 'zzzz' but holds the LATER half of vertex 5's run
-    _write(d, "000000000005_000000000001_aaaa.parquet", [(5, 8), (5, 9)])
-    _write(d, "000000000005_000000000001_zzzz.parquet", [(5, 1), (5, 2), (5, 8)])
-    frag = Fragment(0, tmp_work, np.array([0, 10]), False, sorted_spool=True)
-    lo, hi = frag.indptr[5], frag.indptr[6]
-    # sorted AND deduped ((5,8) appears in both files)
-    assert np.array_equal(frag.indices[lo:hi], [1, 2, 8, 9])
-    assert frag.out_degree[5] == 4
-    assert frag.num_local_edges == 4
-
-
-def test_fragment_in_order_spool_fast_path(tmp_work):
-    """A genuinely sorted spool must keep the no-sort fast path AND
-    still dedup adjacent duplicates across file boundaries."""
-    d = os.path.join(tmp_work, "edges", "part=0")
-    os.makedirs(d)
-    _write(d, "000000000003_000000000001_aaaa.parquet", [(3, 1), (3, 4)])
-    _write(d, "000000000003_000000000004_bbbb.parquet", [(3, 4), (3, 7), (5, 2)])
-    frag = Fragment(0, tmp_work, np.array([0, 10]), False, sorted_spool=True)
-    lo, hi = frag.indptr[3], frag.indptr[4]
-    assert np.array_equal(frag.indices[lo:hi], [1, 4, 7])
-    assert frag.num_local_edges == 4
+    for name, rows in files.items():
+        _write(d, name, rows)
+    frag = Fragment(0, tmp_work, np.array([0, 10]), False)
+    lo, hi = frag.indptr[v], frag.indptr[v + 1]
+    assert np.array_equal(frag.indices[lo:hi], want)
+    assert frag.out_degree[v] == len(want)
+    assert frag.num_local_edges == num_edges
 
 
 @pytest.mark.parametrize("trial", range(5))
 def test_build_spool_globally_sorted_small_blocks(ray_session, tmp_work, trial):
-    """Force the distributed sort to emit many tiny blocks (splitting
-    src runs across spool files) and assert every partition's
-    concatenated spool is lexicographically sorted by (src,dst) and the
-    total edge set is exact."""
+    """Force many tiny blocks (splitting src runs across spool files)
+    and assert the fragments' CSRs, concatenated in partition order,
+    are the exact deduped edge set globally sorted by (src, dst)."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
     old = ctx.target_max_block_size
-    ctx.target_max_block_size = 4 * 1024  # ~tiny: many sort output blocks
+    ctx.target_max_block_size = 4 * 1024  # ~tiny: many blocks
     try:
         n = 120
         src, dst = fixtures.zipf_graph(n=n, m=2000)  # hub-heavy: long src runs
@@ -83,16 +71,9 @@ def test_build_spool_globally_sorted_small_blocks(ray_session, tmp_work, trial):
     want = np.unique(np.stack([src, dst], axis=1), axis=0)
     got_parts = []
     for p in range(meta.num_partitions):
-        files = sorted(glob.glob(os.path.join(meta.spool_dir, f"part={p}", "*.parquet")))
-        if not files:
+        if not glob.glob(os.path.join(meta.spool_dir, f"part={p}", "*.parquet")):
             continue
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        s = t.column("src_gid").to_numpy(zero_copy_only=False)
-        d = t.column("dst_gid").to_numpy(zero_copy_only=False)
-        # spool files must carry the full (min_src, min_dst) sort key
-        for f in files:
-            assert re.match(r"^\d{12}_\d{12}_", os.path.basename(f))
-        frag = Fragment(p, meta.work_dir, meta.starts, False, sorted_spool=True)
+        frag = Fragment(p, meta.work_dir, meta.starts, False)
         e0, e1 = frag.indptr[:-1], frag.indptr[1:]
         rows = np.repeat(np.arange(frag.ivnum), (e1 - e0)) + frag.lo
         # reconstruct dst gids from local indices
@@ -100,6 +81,5 @@ def test_build_spool_globally_sorted_small_blocks(ray_session, tmp_work, trial):
         dsts = np.where(loc < frag.ivnum, loc + frag.lo,
                         frag.outer_gids[np.maximum(loc - frag.ivnum, 0)])
         got_parts.append(np.stack([rows, dsts], axis=1))
-    got = np.concatenate(got_parts)
-    got = got[np.lexsort((got[:, 1], got[:, 0]))]
-    assert np.array_equal(got, want)
+    # partitions are ascending gid ranges: no re-sort needed
+    assert np.array_equal(np.concatenate(got_parts), want)
