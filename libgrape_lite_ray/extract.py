@@ -22,10 +22,10 @@ text must be byte-identical to the `text` column per `url`):
 The per-batch functions are vectorizable only per-row (HTML is not a
 columnar format); the html column is materialized as Python strings for
 the regex pass (unavoidable for regex-over-bytes — the batch arrives
-zero-copy from plasma, the decode copy happens here), uses compiled
-regexes, and runs in an actor pool
-(`map_batches(ExtractLinks, concurrency=N, batch_format="pyarrow")`)
-so compilation happens once per actor.
+zero-copy from plasma, the decode copy happens here) and uses regexes
+compiled once per process at import.  ``pipelines.web.extract_edges``
+runs ``extract_edges_batch`` as a task pool by default; ``ExtractLinks``
+is the actor-pool form for callers that pass ``concurrency``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import html as _html
 import re
 
-import numpy as np
 import pyarrow as pa
 
 __all__ = ["extract_text", "extract_links", "ExtractLinks", "extract_edges_batch", "extract_text_batch"]
@@ -122,38 +121,21 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
 
 
 class ExtractLinks:
-    """Actor-pool stage: pages batch -> edges (+ optionally text).
+    """Actor-pool stage: pages batch -> edges.
 
-    Use as ``pages.map_batches(ExtractLinks, fn_constructor_kwargs=...,
-    batch_format="pyarrow", concurrency=N)``.  Regex state is module
-    level (compiled at import, once per actor process); the class exists
-    so per-actor counters (pages/links seen) amortize and to match the
-    reference's stateful-loader shape (grape/fragment/ev_fragment_loader.h).
+    Use as ``pages.map_batches(ExtractLinks, batch_format="pyarrow",
+    concurrency=N)``.  Regex state is module level (compiled at import,
+    once per actor process); the class exists so per-actor counters
+    (pages/links seen) amortize and to match the reference's
+    stateful-loader shape (grape/fragment/ev_fragment_loader.h).
     """
 
-    def __init__(self, with_text: bool = False):
-        from .memtune import keep_heap_resident
-
-        keep_heap_resident()  # once per actor (see memtune docstring)
-        self.with_text = with_text
+    def __init__(self):
         self.pages = 0
         self.links = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        src, dst = [], []
-        texts = [] if self.with_text else None
-        for u, h in zip(urls, htmls):
-            links = extract_links(h, u)
-            src.extend([u] * len(links))
-            dst.extend(links)
-            if texts is not None:
-                texts.append(extract_text(h))
-        self.pages += len(urls)
-        self.links += len(src)
-        cols = {"src": pa.array(src, pa.string()), "dst": pa.array(dst, pa.string())}
-        if texts is not None:
-            # one row per page in a side table is a different shape; edges only here
-            pass
-        return pa.table(cols)
+        edges = extract_edges_batch(batch)
+        self.pages += len(batch)
+        self.links += len(edges)
+        return edges

@@ -5,15 +5,21 @@ Ray-Data-native replacement for the reference load pipeline
 (grape/fragment/ev_fragment_loader.h:71-186 +
 basic_fragment_loader.h:83-364): instead of MPI shuffles we use
 
-  1. a groupby-dedup of edge endpoints to build the vertex dictionary
-     (basic_fragment_loader.h:221-236 analog),
-  2. a global sort by oid + per-block offsets to assign dense gids in
-     oid-sorted order (so gid order == oid order; see ids.py),
-  3. degree-aware contiguous partition boundaries from compact
-     per-block weight summaries, fed to ``ids.weighted_partition_starts``
-     (grape/worker/rebalancer.h analog),
+  1. one pass that emits per-block pre-deduped (oid, degree) endpoint
+     partials and pins them; their row count bounds V,
+  2. when that bound is within ``broadcast_threshold``: ONE Ray task
+     merges the partials into the vertex dictionary (gid = rank in oid
+     order, so gid order == oid order; see ids.py) and writes it — the
+     reference likewise gathers its vertex map in one step,
+     basic_fragment_loader.h:221-236.  Above the threshold: one global
+     sort of the partials + per-block offsets, reconciled on the driver,
+  3. degree-aware contiguous partition boundaries from
+     ``ids.weighted_partition_starts`` (grape/worker/rebalancer.h
+     analog): exact per-vertex ``deg + 1`` weights in the one-task
+     path, per-block samples of the sorted partials above it,
   4. a vectorized oid->gid translation (`pc.index_in` against the
-     broadcast sorted-oid dictionary, or a Dataset.join at scale),
+     broadcast sorted-oid dictionary, passed by object ref, or two
+     Dataset.joins at scale),
   5. a ROUTE-ONLY partitioned Parquet "spool": a map-side split by
      owner-of-src, so each fragment actor reads exactly its own edges
      (basic_fragment_loader.h:155-172 edge routing analog) and no
@@ -68,6 +74,12 @@ class GraphMeta:
     @property
     def vertices_path(self) -> str:
         return os.path.join(self.work_dir, "vertices")
+
+    def oids_by_gid(self) -> pa.Array:
+        """The dictionary's oids in gid order (= oid order): position
+        is the gid, the ``value_set`` every oid->gid translate uses."""
+        vt = pq.read_table(self.vertices_path, columns=["oid", "gid"])
+        return vt.column("oid").take(pc.sort_indices(vt.column("gid"))).combine_chunks()
 
     def save(self):
         os.makedirs(self.work_dir, exist_ok=True)
@@ -175,6 +187,7 @@ def build_graph(
     still get gids (isolated, dangling for PageRank), and a later
     ``mutate_graph`` delta may reference them.
     """
+    import ray
     import ray.data as rd
 
     # Atomic build: spool into a temp dir, rename into place only on
@@ -237,21 +250,15 @@ def build_graph(
         # table: reuse the dictionary and the partition boundaries
         donor = reuse_vertices_from
         _copy_vertices(donor, work_dir)
-        vt = pq.read_table(os.path.join(work_dir, "vertices"), columns=["oid", "gid"])
-        order = pc.sort_indices(vt.column("gid"))
-        sorted_oids = vt.column("oid").take(order).combine_chunks()
-        edges_gid = _translate_broadcast(edges_ds, sorted_oids, donor.num_partitions)
+        edges_gid = _translate_broadcast(edges_ds, ray.put(donor.oids_by_gid()))
         return _finalize(_spool_and_finish(
             edges_gid, work_dir, donor.num_vertices, donor.num_partitions,
             donor.starts, directed and not symmetrize, donor.oid_type,
             bool(weight_col), fingerprint,
         ))
 
-    # ---- 1+2. vertex dictionary: per-block pre-deduped (oid, cnt)
-    # partials -> ONE global sort -> within-block run-length dedup with
-    # driver-side reconciliation of runs that straddle block boundaries.
-    # (A groupby + sort would be two all-to-all exchanges over the
-    # vertex table; the sorted-dedup needs one.)
+    # ---- 1. per-block pre-deduped (oid, cnt) endpoint partials, pinned:
+    # their row count bounds V, so it picks the dictionary path
     ep = _endpoint_weight_table(edges_ds)
     if vertices_ds is not None:
         # explicit universe (vfile): union zero-weight rows so isolated
@@ -262,7 +269,39 @@ def build_graph(
 
         ep = ep.union(vertices_ds.select_columns(["oid"]).map_batches(
             zero_cnt, batch_format="pyarrow", batch_size=None))
+    ep = ep.materialize()
+    sch = ep.schema()
+    oid_pa_type = getattr(sch, "base_schema", sch).field("oid").type
+    oid_type = (
+        "string"
+        if pa.types.is_string(oid_pa_type) or pa.types.is_large_string(oid_pa_type)
+        else "int64"
+    )
+
+    n_partials = ep.count()
+    if n_partials == 0:
+        raise ValueError("empty edge input")
+    if n_partials <= broadcast_threshold:
+        # ---- 2-4. small dictionary: ONE task merges the partials,
+        # writes vertices/ and computes exact starts; the driver keeps
+        # only the dictionary's ref for the broadcast translate
+        info_ref, dict_ref = ray.remote(num_returns=2)(_merge_dictionary).remote(
+            os.path.join(work_dir, "vertices"), num_partitions, *ep.to_arrow_refs())
+        num_vertices, num_partitions, starts = ray.get(info_ref)
+        del ep
+        edges_gid = _translate_broadcast(edges_ds, dict_ref)
+        return _finalize(_spool_and_finish(
+            edges_gid, work_dir, num_vertices, num_partitions, starts,
+            directed and not symmetrize, oid_type, bool(weight_col), fingerprint,
+        ))
+
+    # ---- 2. large dictionary: ONE global sort of the partials ->
+    # within-block run-length dedup with driver-side reconciliation of
+    # runs that straddle block boundaries.  (A groupby + sort would be
+    # two all-to-all exchanges over the vertex table; the sorted-dedup
+    # needs one.)
     vds = ep.sort("oid").materialize()
+    del ep
 
     def _block_uniques(t: pa.Table):
         """(unique oids ascending, summed weights) for a sorted block."""
@@ -323,9 +362,6 @@ def build_graph(
         total += srow["n_unique"] - skip
         prev_last = srow["last_oid"]
     num_vertices = total
-    if num_vertices == 0:
-        raise ValueError("empty edge input")
-
     num_partitions = min(num_partitions, max(1, num_vertices))
     starts = weighted_partition_starts(
         np.concatenate(sample_gids), np.concatenate(sample_w),
@@ -346,24 +382,18 @@ def build_graph(
         gid = np.arange(off + skip, off + skip + len(u_oid), dtype=np.int64)
         return pa.table({"oid": u_oid, "gid": gid, "weight": u_w})
 
-    vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None)
+    # pinned once: the write and the broadcast fetch below would each
+    # re-run assign_gids over every sorted block
+    vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None).materialize()
+    del vds
     vtx.write_parquet(os.path.join(work_dir, "vertices"))
-
-    sch = vds.schema()
-    pa_sch = getattr(sch, "base_schema", sch)
-    oid_pa_type = pa_sch.field("oid").type
-    oid_type = (
-        "string"
-        if pa.types.is_string(oid_pa_type) or pa.types.is_large_string(oid_pa_type)
-        else "int64"
-    )
 
     # ---- 4. translate edges to gid space
     if num_vertices <= broadcast_threshold:
         sorted_oids = pa.concat_tables(
             [pa.table({"oid": b["oid"]}) for b in vtx.iter_batches(batch_format="pyarrow", batch_size=65536)]
         ).column("oid").combine_chunks()
-        edges_gid = _translate_broadcast(edges_ds, sorted_oids, num_partitions)
+        edges_gid = _translate_broadcast(edges_ds, ray.put(sorted_oids))
     else:
         # large-dictionary path: two hash-shuffle joins (Dataset.join)
         v = rd.read_parquet(os.path.join(work_dir, "vertices"), columns=["oid", "gid"])
@@ -384,15 +414,20 @@ def _prepare_edges(edges_ds, weight_col, symmetrize: bool):
     """Project to ``src``/``dst`` (+ ``w``), pin the projection, and for
     ``symmetrize`` union in every edge reversed.  Returns the Dataset
     and its block count."""
+    from ray.data.dataset import MaterializedDataset
+
     cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-    edges_ds = edges_ds.select_columns(cols)
-    if weight_col and weight_col != "w":
-        edges_ds = edges_ds.rename_columns({weight_col: "w"})
-    # the build consumes the edge table more than once (summaries, then
+    # the build consumes the edge table more than once (partials, then
     # translate+spool); pin the PROJECTED columns so the upstream
     # pipeline (e.g. html extraction) doesn't re-execute — the object
-    # store spills if it exceeds memory
-    edges_ds = edges_ds.materialize()
+    # store spills if it exceeds memory.  An input already pinned with
+    # exactly these columns (``extract_edges``' output) is used as is.
+    if not (isinstance(edges_ds, MaterializedDataset)
+            and edges_ds.schema().names == cols and weight_col in (None, "w")):
+        edges_ds = edges_ds.select_columns(cols)
+        if weight_col and weight_col != "w":
+            edges_ds = edges_ds.rename_columns({weight_col: "w"})
+        edges_ds = edges_ds.materialize()
     n_blocks = edges_ds.num_blocks()
     if symmetrize:
         def rev(t: pa.Table) -> pa.Table:
@@ -406,6 +441,27 @@ def _prepare_edges(edges_ds, weight_col, symmetrize: bool):
         )
         n_blocks *= 2
     return edges_ds, n_blocks
+
+
+def _merge_dictionary(vertices_dir: str, num_partitions: int, *partials: pa.Table):
+    """One task: (oid, cnt) partials -> vertex dictionary (gid = rank in
+    oid order, weight = total degree) written to ``vertices_dir``, and
+    exact ``deg + 1`` starts.  Returns ``((V, P, starts), sorted_oids)``
+    as two objects, so the caller fetches only the scalars."""
+    # empty blocks can come back from Ray Data with no columns at all
+    t = pa.concat_tables([p for p in partials if p.num_rows])
+    t = t.group_by("oid").aggregate([("cnt", "sum")])
+    t = t.sort_by("oid")
+    oids = t.column("oid").combine_chunks()
+    w = t.column("cnt_sum").to_numpy().astype(np.float64)
+    V = len(oids)
+    os.makedirs(vertices_dir, exist_ok=True)
+    pq.write_table(
+        pa.table({"oid": oids, "gid": np.arange(V, dtype=np.int64), "weight": w}),
+        os.path.join(vertices_dir, "part-0.parquet"))
+    P = min(num_partitions, max(1, V))
+    starts = weighted_partition_starts(np.arange(V, dtype=np.int64), w + 1.0, V, P)
+    return (V, P, starts), oids
 
 
 _HIST_BUCKETS = 1 << 20
@@ -599,9 +655,10 @@ def _build_symmetrized_from_donor(donor: GraphMeta, work_dir: str,
     return meta
 
 
-def _translate_broadcast(edges_ds, sorted_oids: pa.Array, num_partitions: int):
-    """oid->gid via the broadcast sorted dictionary (ray.put once,
-    `pc.index_in` per batch: position in the sorted dict IS the gid).
+def _translate_broadcast(edges_ds, dict_ref):
+    """oid->gid via the broadcast sorted dictionary ``dict_ref`` (an
+    object ref to the sorted oid array; `pc.index_in` per batch:
+    position in the sorted dict IS the gid).
 
     TASK pool, not an actor pool: ray.get of the plasma-resident Arrow
     dictionary is zero-copy per task, and tasks reach full width
@@ -609,8 +666,6 @@ def _translate_broadcast(edges_ds, sorted_oids: pa.Array, num_partitions: int):
     blocks behind one worker (measured 22s -> 8s on the 16M-edge
     headline translate at 32 cpus)."""
     import ray
-
-    dict_ref = ray.put(sorted_oids)
 
     def translate(t: pa.Table) -> pa.Table:
         oids = ray.get(dict_ref)  # zero-copy plasma read
@@ -698,10 +753,7 @@ def _write_vdata(vdata_ds, meta: GraphMeta, broadcast_threshold: int = 4_000_000
 
         gidded = vdata_ds.map_batches(to_gid, batch_format="pyarrow", batch_size=None)
     elif meta.num_vertices <= broadcast_threshold:
-        vt = pq.read_table(meta.vertices_path, columns=["oid", "gid"])
-        order = pc.sort_indices(vt.column("gid"))
-        sorted_oids = vt.column("oid").take(order).combine_chunks()
-        dict_ref = ray.put(sorted_oids)
+        dict_ref = ray.put(meta.oids_by_gid())
 
         def translate_v(t: pa.Table) -> pa.Table:
             # task pool, not actors: zero-copy plasma dict read per
@@ -773,9 +825,6 @@ def attach_oids(result_table: pa.Table, meta: GraphMeta, gid_col: str = "gid",
         return result_table.add_column(
             0, oid_name, result_table.column(gid_col).cast(pa.int64())
         )
-    vt = pq.read_table(os.path.join(meta.work_dir, "vertices"), columns=["oid", "gid"])
-    order = pc.sort_indices(vt.column("gid"))
-    oids_sorted = vt.column("oid").take(order)
-    gathered = oids_sorted.take(result_table.column(gid_col))
+    gathered = meta.oids_by_gid().take(result_table.column(gid_col))
     out = result_table.add_column(0, oid_name, gathered)
     return out

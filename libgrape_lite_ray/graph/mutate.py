@@ -70,10 +70,7 @@ def _translate_gids(meta: GraphMeta, oids: np.ndarray, col: str) -> np.ndarray:
         if len(g) and (g.min() < 0 or g.max() >= meta.num_vertices):
             raise ValueError(f"delta {col} oid outside vertex universe")
         return g
-    vt = pq.read_table(meta.vertices_path, columns=["oid", "gid"])
-    order = pc.sort_indices(vt.column("gid"))
-    sorted_oids = vt.column("oid").take(order).combine_chunks()
-    idx = pc.index_in(pa.array(oids), value_set=sorted_oids)
+    idx = pc.index_in(pa.array(oids), value_set=meta.oids_by_gid())
     if idx.null_count:
         raise ValueError(f"delta {col} oid not in vertex dictionary")
     return idx.cast(pa.int64()).to_numpy(zero_copy_only=False)

@@ -213,10 +213,6 @@ class LCC(VertexProgram):
         entries can never close a triangle here) and grouped by u with
         one stable radix argsort.  Reference semantics: lcc.h:154-186.
         """
-        import os as _os
-        import time as _time
-        _prof = _os.environ.get("LGR_LCC_PROF")
-        _t0 = _time.perf_counter()
         f = self.frag
         tv = f.tvnum
         novnum = len(f.outer_gids)
@@ -279,7 +275,6 @@ class LCC(VertexProgram):
             wpv[odeg == 0] = 0
             cum_wpv = np.cumsum(wpv)
             n_wedges = int(cum_wpv[-1])
-        _t1 = _time.perf_counter()
 
         if E and n_wedges:
             v0 = 0
@@ -327,13 +322,6 @@ class LCC(VertexProgram):
                             [v_hit, u_k[ent].astype(np.int64), w_hit])
                         tric += np.bincount(hits, minlength=tv)
                 v0 = v1
-        if _prof:
-            _t2 = _time.perf_counter()
-            n_recv = sum(len(m[0]) for m in msgs)
-            print(f"[lccprof p={f.part}] tvnum={f.tvnum} ivnum={f.ivnum} "
-                  f"recv={n_recv} wedges={n_wedges} "
-                  f"index={_t1 - _t0:.2f}s expand={_t2 - _t1:.2f}s",
-                  flush=True)
 
     def output(self):
         return {

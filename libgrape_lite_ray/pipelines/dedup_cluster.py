@@ -83,15 +83,9 @@ def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
         # near-dup — small by construction — so one broadcast gather
         # (ray.put once, numpy take per batch) beats two hash-join
         # shuffles; a corpus-sized dictionary never passes through here.
-        import numpy as np
-        import pyarrow.parquet as pqt
         import ray
 
-        vt = pqt.read_table(os.path.join(meta.work_dir, "vertices"),
-                            columns=["oid", "gid"])
-        oids_np = vt.column("oid").to_numpy()[
-            np.argsort(vt.column("gid").to_numpy())]
-        dict_ref = ray.put(oids_np)
+        dict_ref = ray.put(meta.oids_by_gid().to_numpy())
 
         def to_labels(t: pa.Table) -> pa.Table:
             oids = ray.get(dict_ref)  # zero-copy plasma read per task

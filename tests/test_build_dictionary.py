@@ -1,0 +1,81 @@
+"""String-oid dictionary build: the one-task small-dictionary path and
+the distributed sort + join path must produce the same graph, and the
+one-task path's partition starts are the exact per-vertex ``deg + 1``
+split."""
+
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from libgrape_lite_ray.graph.build import build_graph
+from libgrape_lite_ray.ids import weighted_partition_starts
+
+P = 4
+
+
+def _edges_ds():
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    n, m = 5000, 20000
+    # hub-skewed endpoints, and oid order unrelated to the draw order
+    src = np.minimum(rng.zipf(1.6, m) - 1, n - 1)
+    dst = rng.integers(0, n, m)
+    names = [f"https://h{(i * 7919) % 97:02d}.example/p{i}" for i in range(n)]
+    s = pa.array([names[i] for i in src], pa.string())
+    d = pa.array([names[i] for i in dst], pa.string())
+    # several input blocks, so per-block partials repeat oids
+    t = pa.table({"src": s, "dst": d})
+    return rd.from_arrow([t.slice(i, 4000) for i in range(0, m, 4000)])
+
+
+def _vertices(meta) -> pa.Table:
+    t = pq.read_table(meta.vertices_path, columns=["oid", "gid", "weight"])
+    return t.sort_by("gid")
+
+
+def _edge_multiset(meta) -> np.ndarray:
+    t = pq.read_table(meta.spool_dir, columns=["src_gid", "dst_gid"])
+    e = np.stack([t.column("src_gid").to_numpy(), t.column("dst_gid").to_numpy()], 1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+CASES = {
+    "directed": {},
+    "symmetrize": {"symmetrize": True, "directed": False},
+    "vertices_ds": {"isolated": True},
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case):
+    import ray.data as rd
+
+    kw = dict(CASES[case])
+    if kw.pop("isolated", False):
+        # one vertex that appears in no edge, plus one that does
+        kw["vertices_ds"] = rd.from_arrow(pa.table({"oid": pa.array(
+            ["https://isolated.example/", "https://h00.example/p0"], pa.string())}))
+    edges = _edges_ds()
+    small = [build_graph(edges, os.path.join(tmp_work, f"s{i}"), P, **kw) for i in range(2)]
+    large = build_graph(edges, os.path.join(tmp_work, "l"), P, broadcast_threshold=0, **kw)
+
+    a, b = small[0], large
+    assert a.num_vertices == b.num_vertices
+    assert a.num_partitions == b.num_partitions
+    assert _vertices(a).equals(_vertices(b))
+    got = _edge_multiset(a)
+    assert np.array_equal(got, _edge_multiset(b))
+    if "vertices_ds" in kw:
+        oids = _vertices(a).column("oid").to_pylist()
+        assert "https://isolated.example/" in oids
+
+    # the one-task starts are deterministic and exact
+    V = a.num_vertices
+    assert np.array_equal(small[0].starts, small[1].starts)
+    deg = (np.bincount(got[:, 0], minlength=V) + np.bincount(got[:, 1], minlength=V))
+    want = weighted_partition_starts(np.arange(V), deg + 1, V, a.num_partitions)
+    assert np.array_equal(a.starts, want)
