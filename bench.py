@@ -124,7 +124,7 @@ def run_bench() -> dict:
             meta = build_graph(edges_ds, os.path.join(gdir, "directed"), P)
             tm["build_directed"] = time.perf_counter() - t0
             _mark("build_directed")
-            # the symmetrized variant hard-links donor+reverse spools and
+            # the symmetrized variant re-routes the donor's gid spool and
             # never reads the edge table again — release the materialized
             # extract output so plasma isn't pinned through the CSR loads
             del edges_ds
@@ -399,12 +399,6 @@ def run_scaling():
         # long prewarm deadline: at low core counts a cold heap faults
         # slowly; a bailed prewarm poisons every timed rep (round-3
         # 8-core collapse).  The prewarm is untimed, so patience is free.
-        # NOTE: LGR_CSR_HEAP is deliberately NOT set.  A/B at 32 hosts
-        # (2026-08-18): heap-copied CSRs make the directed PageRank
-        # apply phase 2.1x SLOWER (8.2s vs 3.96s steady state, tight
-        # reps both ways) while buying nothing on a quiet box — the
-        # mmap'd snapshot path stays the measured configuration.  The
-        # knob remains in fragment.py for busy-box diagnostics only.
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    LGR_ENGINE_V="8000000", LGR_ENGINE_E="300000000",
                    LGR_PREWARM_DEADLINE_S="600")

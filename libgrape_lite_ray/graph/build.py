@@ -21,9 +21,19 @@ basic_fragment_loader.h:83-364): instead of MPI shuffles we use
      broadcast sorted-oid dictionary, passed by object ref, or two
      Dataset.joins at scale),
   5. a ROUTE-ONLY partitioned Parquet "spool": a map-side split by
-     owner-of-src, so each fragment actor reads exactly its own edges
+     owner, so each fragment actor reads exactly its own edges
      (basic_fragment_loader.h:155-172 edge routing analog) and no
      all-to-all sort runs over the edge set.
+
+The router (``_spool_and_finish``) is the one place that decides edge
+direction, like the reference's LoadStrategy (grape/types.h:63-68): a
+gid row ``(s, d, w)`` goes forward to owner(s) (``"out"``), reversed as
+``(d, s, w)`` to owner(d) (``"in"``), or both ways (``"both"``).  Every
+view comes from it: a directed build routes ``"out"``;
+``symmetrize=True`` translates the E input rows once and routes
+``"both"``; ``reverse_graph`` and the undirected view of a built graph
+(``reuse_vertices_from``) re-route the donor's gid spool ``"in"`` or
+``"both"`` with the donor's dictionary and starts.
 
 Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4: gid == oid,
 and the boundaries come from one fixed-size endpoint histogram.
@@ -117,11 +127,12 @@ def edges_from_numpy(src: np.ndarray, dst: np.ndarray, w: np.ndarray | None = No
     return rd.from_arrow(pa.table(cols))
 
 
-def _endpoint_weight_table(edges_ds):
-    """(oid, weight) rows: BOTH endpoints weigh 1, so the summed weight
-    per oid is its total degree.  Total degree is the balance criterion
-    the symmetrized (undirected) variant needs — letting
-    ``_build_symmetrized_from_donor`` reuse the donor's partition starts
+def _endpoint_weight_table(edges_ds, copies: int = 1):
+    """(oid, cnt) rows: BOTH endpoints weigh 1 per routed copy of an
+    edge, so the summed cnt per oid is its total degree in the spool (a
+    symmetrized build routes every input row twice: ``copies=2``).
+    Total degree is the balance criterion the undirected view needs —
+    letting ``reuse_vertices_from`` keep the donor's partition starts
     without a resample — and a sound proxy for directed superstep work
     too (push cost tracks out-degree, ingestion tracks in-degree)."""
 
@@ -138,11 +149,41 @@ def _endpoint_weight_table(edges_ds):
             s_uniq.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
             d_uniq.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
         ])
-        return pa.table({"oid": oid, "cnt": cnt})
+        return pa.table({"oid": oid, "cnt": cnt * copies})
 
     return edges_ds.select_columns(["src", "dst"]).map_batches(
         emit_partial, batch_format="pyarrow", batch_size=None
     )
+
+
+def publish_graph_dir(final_dir: str, build) -> GraphMeta:
+    """Build a graph dir atomically: ``build(tmp_dir)`` writes into
+    ``final_dir.building-<pid>`` and returns its saved meta, which is
+    renamed into place only on success.  A crashed build otherwise
+    leaves partial uuid-named spool files that a retry silently merges
+    with its own — duplicated edges with no error.  An existing
+    ``graph_meta.json`` marker is loaded instead of rebuilt."""
+    import shutil
+
+    marker = os.path.join(final_dir, "graph_meta.json")
+    if os.path.exists(marker):
+        return GraphMeta.load(final_dir)
+    if os.path.isdir(final_dir):  # partial remains of a crashed build
+        shutil.rmtree(final_dir)
+    tmp_dir = f"{final_dir}.building-{os.getpid()}"
+    if os.path.isdir(tmp_dir):
+        shutil.rmtree(tmp_dir)
+    os.makedirs(tmp_dir)
+    meta = build(tmp_dir)
+    try:
+        os.rename(tmp_dir, final_dir)
+    except OSError:
+        # lost a race with a concurrent build of the same graph
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        if not os.path.exists(marker):
+            raise
+    meta.work_dir = final_dir
+    return meta
 
 
 def build_graph(
@@ -159,14 +200,18 @@ def build_graph(
     dense_int_oids: bool = False,
     vdata_ds=None,
     vertices_ds=None,
-    load_strategy: str = "out",
 ) -> GraphMeta:
     """Build the on-disk graph layout from an edge Dataset with columns
     ``src``/``dst`` (string or int64 oids) and optional ``weight_col``.
 
     ``symmetrize=True`` loads every edge in both directions (the
     reference's undirected load, types.h LoadStrategy semantics for the
-    undirected apps).
+    undirected apps).  With ``reuse_vertices_from=donor`` (and
+    ``edges_ds=None``) it derives the undirected view of an
+    already-built graph instead: the donor's gid spool is re-routed
+    both ways under the donor's dictionary and partition starts, with
+    no extract or translate.  In-edges alone come from
+    ``reverse_graph``.
 
     ``vdata_ds``: optional Dataset of per-vertex properties with an
     ``oid`` column plus one or more numeric value columns (the
@@ -175,91 +220,55 @@ def build_graph(
     ``vdata_ds`` read as 0.  Mirror vdata is synced once at engine
     start (immutable_edgecut_fragment.h:109-114 mirror vdata analog).
 
-    ``load_strategy``: ``"out"`` (default) stores only the out-CSR;
-    ``"both"`` additionally derives the reversed-direction spool under
-    ``work_dir/rev`` (the reference's LoadStrategy kBothOutIn,
-    grape/types.h:63-68) so in-edge queries need no second build —
-    see ``reverse_graph``.
-
     ``vertices_ds``: optional Dataset with an ``oid`` column declaring
     the vertex universe explicitly (the reference's ``.v`` file,
     ev_fragment_loader.h vfile path): vertices appearing in no edge
     still get gids (isolated, dangling for PageRank), and a later
     ``mutate_graph`` delta may reference them.
     """
+    if reuse_vertices_from is not None:
+        if not symmetrize:
+            raise ValueError("reuse_vertices_from derives the undirected view "
+                             "of a built graph; it needs symmetrize=True")
+        if edges_ds is not None:
+            raise ValueError("reuse_vertices_from symmetrizes the donor's own "
+                             "edges; pass edges_ds=None")
+
+    def build(tmp_dir: str) -> GraphMeta:
+        if reuse_vertices_from is not None:
+            meta = _reroute(reuse_vertices_from, tmp_dir, "both", fingerprint)
+        elif dense_int_oids:
+            meta = _build_dense_int(edges_ds, tmp_dir, num_partitions, directed,
+                                    symmetrize, weight_col, fingerprint)
+        else:
+            meta = _build_with_dictionary(
+                edges_ds, tmp_dir, num_partitions, directed, symmetrize,
+                weight_col, broadcast_threshold, fingerprint, vertices_ds)
+        if vdata_ds is not None:
+            _write_vdata(vdata_ds, meta, broadcast_threshold)
+        return meta
+
+    return publish_graph_dir(work_dir, build)
+
+
+def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
+                           symmetrize, weight_col, broadcast_threshold,
+                           fingerprint, vertices_ds) -> GraphMeta:
+    """String (or sparse int) oids: endpoint partials -> vertex
+    dictionary + starts -> translate -> route (steps 1-5 above)."""
     import ray
     import ray.data as rd
 
-    # Atomic build: spool into a temp dir, rename into place only on
-    # success.  A crashed build otherwise leaves partial uuid-named
-    # spool files that a retry (exist_ok=True) silently merges with its
-    # own — duplicated edges with no error.
-    final_dir = work_dir
-    marker = os.path.join(final_dir, "graph_meta.json")
-    if os.path.exists(marker):
-        return GraphMeta.load(final_dir)
-    if os.path.isdir(final_dir):  # partial remains of a crashed build
-        import shutil
-        shutil.rmtree(final_dir)
-    work_dir = f"{final_dir}.building-{os.getpid()}"
-    if os.path.isdir(work_dir):
-        import shutil
-        shutil.rmtree(work_dir)
-
-    def _finalize(meta: GraphMeta) -> GraphMeta:
-        if vdata_ds is not None:
-            _write_vdata(vdata_ds, meta, broadcast_threshold)
-        try:
-            os.rename(work_dir, final_dir)
-        except OSError:
-            # lost a race with a concurrent build of the same graph
-            import shutil
-            shutil.rmtree(work_dir, ignore_errors=True)
-            if not os.path.exists(marker):
-                raise
-        meta.work_dir = final_dir
-        if load_strategy == "both":
-            reverse_graph(meta)
-            meta.extra["rev_dir"] = os.path.join(final_dir, "rev")
-            meta.save()
-        return meta
-
-    os.makedirs(work_dir, exist_ok=True)
-    if dense_int_oids:
-        return _finalize(_build_dense_int(
-            edges_ds, work_dir, num_partitions, directed, symmetrize,
-            weight_col, fingerprint,
-        ))
-    if reuse_vertices_from is not None and symmetrize:
-        # symmetrized variant of an already-built graph: skip the url
-        # table entirely — union the donor's gid spool with its reverse
-        # (no dictionary rebuild, no re-translate)
-        return _finalize(_build_symmetrized_from_donor(
-            reuse_vertices_from, work_dir, fingerprint,
-        ))
-
-    edges_ds, n_blocks = _prepare_edges(edges_ds, weight_col, symmetrize)
-
+    edges_ds = _prepare_edges(edges_ds, weight_col)
     # coalesce shattered inputs once: every downstream pass (dict sort,
     # translate, spool) pays per-block overhead
-    if n_blocks > 4 * num_partitions:
+    if edges_ds.num_blocks() > 4 * num_partitions:
         edges_ds = edges_ds.repartition(num_partitions).materialize()
-
-    if reuse_vertices_from is not None:
-        # same vertex universe as an already-built variant of this edge
-        # table: reuse the dictionary and the partition boundaries
-        donor = reuse_vertices_from
-        _copy_vertices(donor, work_dir)
-        edges_gid = _translate_broadcast(edges_ds, ray.put(donor.oids_by_gid()))
-        return _finalize(_spool_and_finish(
-            edges_gid, work_dir, donor.num_vertices, donor.num_partitions,
-            donor.starts, directed and not symmetrize, donor.oid_type,
-            bool(weight_col), fingerprint,
-        ))
+    direction = "both" if symmetrize else "out"
 
     # ---- 1. per-block pre-deduped (oid, cnt) endpoint partials, pinned:
     # their row count bounds V, so it picks the dictionary path
-    ep = _endpoint_weight_table(edges_ds)
+    ep = _endpoint_weight_table(edges_ds, 2 if symmetrize else 1)
     if vertices_ds is not None:
         # explicit universe (vfile): union zero-weight rows so isolated
         # vertices get gids too
@@ -290,10 +299,10 @@ def build_graph(
         num_vertices, num_partitions, starts = ray.get(info_ref)
         del ep
         edges_gid = _translate_broadcast(edges_ds, dict_ref)
-        return _finalize(_spool_and_finish(
+        return _spool_and_finish(
             edges_gid, work_dir, num_vertices, num_partitions, starts,
-            directed and not symmetrize, oid_type, bool(weight_col), fingerprint,
-        ))
+            directed, oid_type, bool(weight_col), fingerprint, direction,
+        )
 
     # ---- 2. large dictionary: ONE global sort of the partials ->
     # within-block run-length dedup with driver-side reconciliation of
@@ -404,16 +413,14 @@ def build_graph(
         keep = ["src_gid", "dst_gid"] + (["w"] if weight_col else [])
         edges_gid = e.select_columns(keep)
 
-    return _finalize(_spool_and_finish(
+    return _spool_and_finish(
         edges_gid, work_dir, num_vertices, num_partitions, starts,
-        directed and not symmetrize, oid_type, bool(weight_col), fingerprint,
-    ))
+        directed, oid_type, bool(weight_col), fingerprint, direction,
+    )
 
 
-def _prepare_edges(edges_ds, weight_col, symmetrize: bool):
-    """Project to ``src``/``dst`` (+ ``w``), pin the projection, and for
-    ``symmetrize`` union in every edge reversed.  Returns the Dataset
-    and its block count."""
+def _prepare_edges(edges_ds, weight_col):
+    """Project to ``src``/``dst`` (+ ``w``) and pin the projection."""
     from ray.data.dataset import MaterializedDataset
 
     cols = ["src", "dst"] + ([weight_col] if weight_col else [])
@@ -428,19 +435,7 @@ def _prepare_edges(edges_ds, weight_col, symmetrize: bool):
         if weight_col and weight_col != "w":
             edges_ds = edges_ds.rename_columns({weight_col: "w"})
         edges_ds = edges_ds.materialize()
-    n_blocks = edges_ds.num_blocks()
-    if symmetrize:
-        def rev(t: pa.Table) -> pa.Table:
-            d = {"src": t.column("dst"), "dst": t.column("src")}
-            if weight_col:
-                d["w"] = t.column("w")
-            return pa.table(d)
-
-        edges_ds = edges_ds.union(
-            edges_ds.map_batches(rev, batch_format="pyarrow", batch_size=None)
-        )
-        n_blocks *= 2
-    return edges_ds, n_blocks
+    return edges_ds
 
 
 def _merge_dictionary(vertices_dir: str, num_partitions: int, *partials: pa.Table):
@@ -467,15 +462,17 @@ def _merge_dictionary(vertices_dir: str, num_partitions: int, *partials: pa.Tabl
 _HIST_BUCKETS = 1 << 20
 
 
-def _dense_int_starts(edges_ds, num_vertices: int, num_partitions: int) -> np.ndarray:
+def _dense_int_starts(edges_ds, num_vertices: int, num_partitions: int,
+                      copies: int = 1) -> np.ndarray:
     """Total-degree-balanced starts for dense int oids from ONE pass:
     every block emits a fixed-size histogram of both endpoints over
     ``B = min(V, 2**20)`` equal-width gid buckets, the driver sums them
-    in O(B) and weighs bucket b by its endpoint count plus its vertex
-    count (the +1 vertex factor of ``_endpoint_weight_table``'s
-    summaries).  With B == V this is exactly the per-vertex
-    ``deg + 1`` split; above 2**20 vertices the boundaries snap to
-    bucket ends and driver memory stays O(2**20), not O(V)."""
+    in O(B) and weighs bucket b by its endpoint count times ``copies``
+    (routed copies per edge, as in ``_endpoint_weight_table``) plus its
+    vertex count (the +1 vertex factor of its summaries).  With B == V
+    this is exactly the per-vertex ``deg + 1`` split; above 2**20
+    vertices the boundaries snap to bucket ends and driver memory stays
+    O(2**20), not O(V)."""
     V = int(num_vertices)
     B = min(V, _HIST_BUCKETS)
 
@@ -493,6 +490,7 @@ def _dense_int_starts(edges_ds, num_vertices: int, num_partitions: int) -> np.nd
                   .iter_batches(batch_format="pyarrow", batch_size=None)):
         flat = batch.column("hist").combine_chunks().flatten()
         w += flat.to_numpy().reshape(-1, B).sum(axis=0)
+    w *= copies
     # bucket b holds gids [ceil(b*V/B), ceil((b+1)*V/B)); in-place
     # arithmetic keeps the driver at a few B-sized arrays
     ends = np.arange(1, B + 1, dtype=np.int64)
@@ -514,11 +512,11 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
     id space)."""
     from ray.data.aggregate import Max
 
-    edges_ds, _ = _prepare_edges(edges_ds, weight_col, symmetrize)
+    edges_ds = _prepare_edges(edges_ds, weight_col)
     agg = edges_ds.aggregate(Max("src", alias_name="ms"), Max("dst", alias_name="md"))
     V = int(max(agg["ms"], agg["md"])) + 1
     P = min(num_partitions, max(1, V))
-    starts = _dense_int_starts(edges_ds, V, P)
+    starts = _dense_int_starts(edges_ds, V, P, 2 if symmetrize else 1)
 
     def to_gid(t: pa.Table) -> pa.Table:
         d = {"src_gid": t.column("src").cast(pa.int64()),
@@ -528,131 +526,51 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
         return pa.table(d)
 
     edges_gid = edges_ds.map_batches(to_gid, batch_format="pyarrow", batch_size=None)
-    meta = _spool_and_finish(
-        edges_gid, work_dir, V, P, starts, directed and not symmetrize,
-        "int64", bool(weight_col), fingerprint,
+    return _spool_and_finish(
+        edges_gid, work_dir, V, P, starts, directed, "int64", bool(weight_col),
+        fingerprint, "both" if symmetrize else "out", {"identity_oids": True},
     )
-    meta.extra["identity_oids"] = True
-    meta.save()
-    return meta
 
 
-def reverse_graph(meta: GraphMeta, rev_dir: str | None = None) -> GraphMeta:
-    """In-edge adjacency without a second graph build (the reference's
-    LoadStrategy ``kBothOutIn``, grape/types.h:63-68,
-    immutable_edgecut_fragment.h:79-114): derive a reversed-direction
-    spool from an already-built graph with ONE route-only pass over the
-    gid spool — no re-extract, no dictionary translate, no global sort
-    (fragments sort their slice at load; the CSR snapshot caches it).
+def reverse_graph(meta: GraphMeta) -> GraphMeta:
+    """In-edge adjacency without a second graph build (the in-edge half
+    of the reference's LoadStrategy ``kBothOutIn``, grape/types.h:63-68,
+    immutable_edgecut_fragment.h:79-114): ONE ``"in"`` route pass over
+    the built graph's gid spool — no re-extract, no dictionary
+    translate, no global sort (fragments sort their slice at load; the
+    CSR snapshot caches it).  Built once, cached under
+    ``meta.work_dir/rev``.
 
     Returns a GraphMeta whose fragments' out-CSR is the donor's in-CSR
     and which shares the donor's vertex dictionary, so every program
     runs unchanged along in-edges (in-degree, reverse BFS/reachability,
     the SendMsgThroughIEdges direction).  Partition boundaries reuse
-    the donor's (in-degree skew may differ from out-degree skew; pass a
-    dedicated ``rev_dir`` and rebalance externally if it bites)."""
-    import ray.data as rd
-
-    rev_dir = rev_dir or os.path.join(meta.work_dir, "rev")
-    marker = os.path.join(rev_dir, "graph_meta.json")
-    if os.path.exists(marker):
-        return GraphMeta.load(rev_dir)
-    tmp_dir = f"{rev_dir}.building-{os.getpid()}"
-    if os.path.isdir(tmp_dir):
-        import shutil
-
-        shutil.rmtree(tmp_dir)
-    os.makedirs(tmp_dir, exist_ok=True)
-    _copy_vertices(meta, tmp_dir)
-    cols = ["src_gid", "dst_gid"] + (["w"] if meta.has_weights else [])
-    de = rd.read_parquet(meta.spool_dir, columns=cols)
-
-    def revg(t: pa.Table) -> pa.Table:
-        d = {"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
-        if meta.has_weights:
-            d["w"] = t.column("w")
-        return pa.table(d)
-
-    rmeta = _spool_and_finish(
-        de.map_batches(revg, batch_format="pyarrow", batch_size=None),
-        tmp_dir, meta.num_vertices, meta.num_partitions, meta.starts,
-        meta.directed, meta.oid_type, meta.has_weights,
-        (meta.fingerprint + ":rev") if meta.fingerprint else "",
-    )
-    if meta.extra.get("identity_oids"):
-        rmeta.extra["identity_oids"] = True
-    rmeta.extra["reversed_of"] = meta.work_dir
-    rmeta.save()
-    try:
-        os.rename(tmp_dir, rev_dir)
-    except OSError:  # lost a race with a concurrent reverse build
-        import shutil
-
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    rmeta.work_dir = rev_dir
-    return rmeta
+    the donor's (in-degree skew may differ from out-degree skew)."""
+    fingerprint = (meta.fingerprint + ":rev") if meta.fingerprint else ""
+    return publish_graph_dir(
+        os.path.join(meta.work_dir, "rev"),
+        lambda tmp_dir: _reroute(meta, tmp_dir, "in", fingerprint,
+                                 reversed_of=meta.work_dir))
 
 
-def _copy_vertices(donor: GraphMeta, work_dir: str):
+def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
+             **extra) -> GraphMeta:
+    """A view of a built graph from one route pass over its gid spool,
+    keeping its dictionary (copied), partition starts and oid mapping."""
     import shutil
 
+    import ray.data as rd
+
     if donor.extra.get("identity_oids"):
-        return  # dense-int graphs have no dictionary on disk
-    dst_v = os.path.join(work_dir, "vertices")
-    if not os.path.exists(dst_v):
-        shutil.copytree(donor.vertices_path, dst_v)
-
-
-def _build_symmetrized_from_donor(donor: GraphMeta, work_dir: str,
-                                  fingerprint: str) -> GraphMeta:
-    """Undirected variant with ZERO new edge movement: the symmetrized
-    spool for partition p is (donor out-edges of p) ∪ (donor in-edges
-    of p as out-edges) — exactly the donor spool's ``part=p`` files
-    plus ``reverse_graph``'s, so both are HARD-LINKED instead of routed
-    again.  ``reverse_graph`` is itself a cached one-route-pass (E
-    rows); when the donor was built with ``load_strategy="both"`` or
-    any in-edge query already ran, symmetrize touches no edge data at
-    all.  The old path re-routed and re-wrote 2E rows.
-
-    Partition boundaries reuse the donor's: the donor's degree-aware
-    ``starts`` already weight BOTH endpoints of every edge
-    (``_endpoint_weight_table``), i.e. total degree — the same balance
-    criterion the undirected graph needs, so a resample would
-    reproduce them modulo sampling noise."""
-    _copy_vertices(donor, work_dir)
-    V, P = donor.num_vertices, donor.num_partitions
-    rmeta = reverse_graph(donor)
-
-    spool = os.path.join(work_dir, "edges")
-    for tag, src_meta in (("d", donor), ("r", rmeta)):
-        for part in os.listdir(src_meta.spool_dir):
-            sdir = os.path.join(src_meta.spool_dir, part)
-            if not (part.startswith("part=") and os.path.isdir(sdir)):
-                continue
-            ddir = os.path.join(spool, part)
-            os.makedirs(ddir, exist_ok=True)
-            for f in os.listdir(sdir):
-                dst = os.path.join(ddir, f"{tag}_{f}")
-                try:
-                    os.link(os.path.join(sdir, f), dst)
-                except OSError:  # cross-device spool dirs
-                    import shutil
-
-                    shutil.copy2(os.path.join(sdir, f), dst)
-
-    meta = GraphMeta(
-        work_dir=work_dir, num_vertices=V,
-        num_edges=donor.num_edges + rmeta.num_edges, num_partitions=P,
-        starts=np.asarray(donor.starts, dtype=np.int64), directed=False,
-        oid_type=donor.oid_type, has_weights=donor.has_weights,
-        fingerprint=fingerprint,
+        extra["identity_oids"] = True  # dense-int graphs have no dictionary on disk
+    else:
+        shutil.copytree(donor.vertices_path, os.path.join(work_dir, "vertices"))
+    cols = ["src_gid", "dst_gid"] + (["w"] if donor.has_weights else [])
+    return _spool_and_finish(
+        rd.read_parquet(donor.spool_dir, columns=cols), work_dir,
+        donor.num_vertices, donor.num_partitions, donor.starts, donor.directed,
+        donor.oid_type, donor.has_weights, fingerprint, direction, extra,
     )
-    if donor.extra.get("identity_oids"):
-        meta.extra["identity_oids"] = True
-    meta.save()
-    return meta
 
 
 def _translate_broadcast(edges_ds, dict_ref):
@@ -681,7 +599,13 @@ def _translate_broadcast(edges_ds, dict_ref):
 
 
 def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
-                      directed, oid_type, has_weights, fingerprint) -> GraphMeta:
+                      directed, oid_type, has_weights, fingerprint,
+                      direction: str = "out", extra: dict | None = None) -> GraphMeta:
+    """Route gid rows into the spool and save the graph's meta.
+
+    ``direction`` picks the copies each row ``(s, d, w)`` yields:
+    ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
+    owner(d), ``"both"`` writes both (an undirected graph)."""
     # ---- 5. route-only spool: a map-side split by owner with no
     # all-to-all sort network; fragments sort their own slice at load
     # and the CSR snapshot caches the result (the reference likewise
@@ -692,6 +616,15 @@ def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
     starts_list = starts  # closure capture (tiny)
 
     def route_spool(t: pa.Table) -> pa.Table:
+        copies = []
+        if direction != "in":
+            copies.append(t)
+        if direction != "out":
+            rev = {"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
+            if has_weights:
+                rev["w"] = t.column("w")
+            copies.append(pa.table(rev))
+        t = pa.concat_tables(copies)
         sg = t.column("src_gid").to_numpy(zero_copy_only=False)
         parts = part_of(sg, starts_list)
         fid = uuid.uuid4().hex[:12]
@@ -716,8 +649,9 @@ def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
     meta = GraphMeta(
         work_dir=work_dir, num_vertices=int(num_vertices),
         num_edges=num_edges, num_partitions=int(num_partitions),
-        starts=np.asarray(starts, dtype=np.int64), directed=directed,
-        oid_type=oid_type, has_weights=has_weights, fingerprint=fingerprint,
+        starts=np.asarray(starts, dtype=np.int64),
+        directed=directed and direction != "both", oid_type=oid_type,
+        has_weights=has_weights, fingerprint=fingerprint, extra=dict(extra or {}),
     )
     meta.save()
     return meta

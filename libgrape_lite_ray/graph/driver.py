@@ -784,8 +784,6 @@ class GraphEngine:
             no program retains views into incoming bundles past
             update() (audited; LCC copies via translate/asarray-cast).
             """
-            if os.environ.get("LGR_NO_EAGER_FREE"):
-                return
             refs = [o["ref"] for o in outs if o.get("ref") is not None]
             if not refs:
                 return

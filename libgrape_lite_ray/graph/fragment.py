@@ -203,20 +203,6 @@ class Fragment:
         if self.edge_w is not None:
             np.asarray(self.edge_w).sum()
             np.asarray(self.w_by_tgt).sum()
-        # LGR_CSR_HEAP=1 (diagnostic only, default OFF): materialize
-        # the mapped arrays into the (resident, see memtune) heap.
-        # Rationale was host-side page-cache reclaim evicting mmap'd
-        # CSR pages mid-run (2-3x jitter on WCC reps on a busy box);
-        # measured A/B on a quiet box (2026-08-18, 32 hosts, 300M
-        # edges) shows the heap copy makes the directed PageRank apply
-        # phase 2.1x SLOWER (8.2s vs 3.96s, tight reps both ways) —
-        # keep the default mmap path (shared pages, instant reloads).
-        if os.environ.get("LGR_CSR_HEAP"):
-            for k in _SNAP_ARRAYS:
-                setattr(self, k, np.array(getattr(self, k)))
-            if self.edge_w is not None:
-                self.edge_w = np.array(self.edge_w)
-                self.w_by_tgt = np.array(self.w_by_tgt)
         return True
 
     def _load_vdata(self, work_dir: str, vdata_cols):

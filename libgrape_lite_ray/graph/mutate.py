@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import glob
 import os
-import shutil
 import uuid
 
 import numpy as np
@@ -33,7 +32,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ids import part_of
-from .build import GraphMeta
+from .build import GraphMeta, publish_graph_dir
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -115,15 +114,11 @@ def mutate_graph(meta: GraphMeta, delta: pa.Table, out_dir: str) -> GraphMeta:
     ``delta`` columns: op (a|d|u), src, dst, optional w (oid space).
     Undirected (symmetrized) graphs apply each op in both directions.
     """
-    import ray
+    return publish_graph_dir(out_dir, lambda work: _apply_delta(meta, delta, work))
 
-    marker = os.path.join(out_dir, "graph_meta.json")
-    if os.path.exists(marker):
-        return GraphMeta.load(out_dir)
-    work = f"{out_dir}.building-{os.getpid()}"
-    if os.path.isdir(work):
-        shutil.rmtree(work)
-    os.makedirs(work, exist_ok=True)
+
+def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
+    import ray
 
     sg = _translate_gids(meta, delta.column("src").to_numpy(zero_copy_only=False), "src")
     dg = _translate_gids(meta, delta.column("dst").to_numpy(zero_copy_only=False), "dst")
@@ -222,11 +217,4 @@ def mutate_graph(meta: GraphMeta, delta: pa.Table, out_dir: str) -> GraphMeta:
         extra=dict(meta.extra),
     )
     new_meta.save()
-    try:
-        os.rename(work, out_dir)
-    except OSError:
-        shutil.rmtree(work, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    new_meta.work_dir = out_dir
     return new_meta

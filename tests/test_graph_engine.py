@@ -254,8 +254,8 @@ def test_memtune_applied():
 
 @pytest.mark.parametrize("P", [1, 4])
 def test_reverse_graph_in_degree_and_bfs(ray_session, tmp_work, P):
-    """LoadStrategy kBothOutIn analog: build once with
-    load_strategy='both', open the reversed fragments, and check
+    """LoadStrategy kBothOutIn analog: build once, derive the reversed
+    view with reverse_graph, open the reversed fragments, and check
     (a) Degree on the reversed graph == in-degree of the original
     (post-dedup, like the reference's distinct CSR rows), and
     (b) BFS along in-edges == BFS on the numpy-transposed graph."""
@@ -263,12 +263,12 @@ def test_reverse_graph_in_degree_and_bfs(ray_session, tmp_work, P):
 
     n = 300
     src, dst = fixtures.zipf_graph(n=n, m=2500)
-    meta = _build(tmp_work, src, dst, P, f"rev{P}", directed=True,
-                  load_strategy="both")
+    meta = _build(tmp_work, src, dst, P, f"rev{P}", directed=True)
+    from libgrape_lite_ray.graph.build import reverse_graph
+
+    reverse_graph(meta)
     rev_dir = os.path.join(meta.work_dir, "rev")
     assert os.path.exists(os.path.join(rev_dir, "graph_meta.json"))
-    from libgrape_lite_ray.graph.build import GraphMeta, reverse_graph
-
     rmeta = reverse_graph(meta)  # idempotent: loads the built one
     assert rmeta.num_vertices == n
 
