@@ -45,6 +45,22 @@ from .fragment import Fragment
 __all__ = ["FragmentHost", "GraphEngine", "ResultHandle"]
 
 
+def _reduce_globals(harvests) -> dict | None:
+    """The one global-scalar reduction (Communicator Sum): merge the
+    partition-keyed partials of every host's ``_harvest_globals`` and
+    value-sum them in ascending partition order, so the aggregate is
+    bitwise independent of how partitions are grouped onto hosts.
+    Serves init, every round and the mutation-apply round."""
+    by_part: dict = {}
+    for h in harvests:
+        by_part.update(h or {})
+    agg: dict = {}
+    for p in sorted(by_part):
+        for k, v in by_part[p].items():
+            agg[k] = agg.get(k, 0.0) + float(v)
+    return agg or None
+
+
 class ResultHandle:
     """Distributed per-vertex result: one Arrow table ref per partition.
 
@@ -137,20 +153,14 @@ class FragmentHost:
         retains H x cap at its high-water mark forever.  Cap each actor
         at a fair share of ~35% of currently-available memory (and the
         absolute 2 GiB ceiling) so 32 hosts on a small box cannot
-        ratchet the machine into OOM.  ``LGR_PREWARM_CAP_MB`` overrides
-        (0 disables)."""
+        ratchet the machine into OOM."""
         from ..memtune import available_memory, prewarm_heap_async
 
         nbytes = sum(24 * f.num_local_edges + 16 * f.tvnum
                      for f in self.frags.values()) + (64 << 20)
-        env = os.environ.get("LGR_PREWARM_CAP_MB")
-        if env is not None:
-            cap = int(env) << 20
-        else:
-            n_hosts = max(1, len(np.unique(self.host_of)))
-            fair = int(available_memory() * 0.35) // n_hosts
-            cap = min(2 << 30, fair)
-        self._prewarm_t = prewarm_heap_async(nbytes, cap=cap)
+        n_hosts = max(1, len(np.unique(self.host_of)))
+        fair = int(available_memory() * 0.35) // n_hosts
+        self._prewarm_t = prewarm_heap_async(nbytes, cap=min(2 << 30, fair))
 
     def join_prewarm(self) -> bool:
         """Block until the heap prewarm finished (harness hook: callers
@@ -279,20 +289,17 @@ class FragmentHost:
             return programs.PROGRAMS[name]
         return name
 
-    def init_program(self, name, params: dict) -> dict:
+    def init_program(self, name, params: dict):
+        """Construct and ``init`` every hosted fragment's program;
+        returns the global partials queued during ``init`` (see
+        ``_harvest_globals``), which the driver reduces and delivers to
+        round 1."""
         self._own_payload.clear()
         cls = self._program_cls(name)
-        agg: dict = {}
         for p in self.parts:
-            prog = cls(self.frags[p], **params)
-            self.programs[p] = prog
-            for k, v in prog.init().items():
-                agg[k] = agg.get(k, 0) + v
-        return agg
-
-    def set_globals(self, agg: dict):
-        for prog in self.programs.values():
-            prog.set_globals(agg)
+            self.programs[p] = cls(self.frags[p], **params)
+            self.programs[p].init()
+        return self._harvest_globals()
 
     def _pack_one(self, part: int, rnd: int):
         """One fragment's outgoing exchange as a dict of a few FLAT
@@ -400,15 +407,18 @@ class FragmentHost:
     def _gather_pairs(self, rnd: int, incoming: list):
         """incoming = remote host payload refs; plus this host's own
         round-`rnd` payload (kept local, never ray.put when all dests
-        are co-hosted)."""
+        are co-hosted).  Returns (source partition, bundle) pairs in
+        ascending source-partition order, so programs add received
+        partials in the same order at every ``num_hosts``."""
         import ray
 
         payloads = list(ray.get(incoming)) if incoming else []
         own = self._own_payload.pop(rnd, None)
         if own is not None:
             payloads.append(own)
-        return [(q, b) for pl in payloads
-                for q, b in zip(pl["parts"], pl["bundles"])]
+        return sorted(((q, b) for pl in payloads
+                       for q, b in zip(pl["parts"], pl["bundles"])),
+                      key=lambda qb: qb[0])
 
     def produce(self, rnd: int):
         ref, dests, sent, dt = self._produce_payload(rnd)
@@ -441,13 +451,13 @@ class FragmentHost:
         topology); the step then skips produce — the driver re-registers
         mirrors across the fleet before asking for round ``rnd``+1.
 
-        ``globals_in`` (per-round Communicator scalars,
-        grape/communication/communicator.h Sum/Max over rounds): the
-        value-summed aggregate of every program's ``take_globals()``
-        partials from round ``rnd``-1, delivered via ``set_globals``
-        BEFORE this round's update — a one-round-delayed global
-        reduction (HITS normalizes with it; PageRank's dangling sum
-        uses the init-time variant of the same channel).
+        ``globals_in`` (Communicator scalars,
+        grape/communication/communicator.h Sum over rounds): the
+        partition-order sum of every program's ``take_globals()``
+        partials from round ``rnd``-1 (from ``init`` when ``rnd`` is 1),
+        delivered via ``set_globals`` BEFORE this round's update — a
+        one-round-delayed global reduction (HITS normalizes with it;
+        PageRank reads its dangling count in round 1).
         """
         t0 = time.perf_counter()
         if globals_in:
@@ -478,17 +488,13 @@ class FragmentHost:
                 "apply_s": t1 - t0, "pack_s": pack_s}
 
     def _harvest_globals(self):
-        """Drain per-round global-scalar partials the hosted programs
-        queued during update (Communicator Sum analog) — value-summed
-        here per host, then across hosts by the driver, delivered back
-        next round via ``set_globals``.  Returns a dict or None."""
-        g: dict = {}
-        for prog in self.programs.values():
-            tg = prog.take_globals() if hasattr(prog, "take_globals") else None
-            if tg:
-                for k, v in tg.items():
-                    g[k] = g.get(k, 0.0) + float(v)
-        return g or None
+        """Drain the global-scalar partials the hosted programs queued
+        (Communicator Sum analog), keyed by partition: {part: {key:
+        value}} or None.  No per-host pre-sum — the driver's
+        ``_reduce_globals`` sums them in partition order."""
+        g = {p: prog.take_globals() for p, prog in self.programs.items()
+             if hasattr(prog, "take_globals")}
+        return {p: v for p, v in g.items() if v} or None
 
     def _harvest_mutations(self):
         """Collect edge ops the hosted programs queued during this
@@ -761,12 +767,8 @@ class GraphEngine:
                 with open(self._manifest_path(ckpt_dir, step)) as f:
                     glob_next = json.load(f).get("globals_in_next") or None
         if resumed_from is None:
-            partials = ray.get([a.init_program.remote(program, params) for a in self.actors])
-            agg: dict = {}
-            for d in partials:
-                for k, v in d.items():
-                    agg[k] = agg.get(k, 0) + v
-            ray.get([a.set_globals.remote(agg) for a in self.actors])
+            glob_next = _reduce_globals(
+                ray.get([a.init_program.remote(program, params) for a in self.actors]))
         metrics["resumed_from"] = resumed_from
 
         def _free_bundles(outs):
@@ -830,11 +832,7 @@ class GraphEngine:
                                glob_next)
                  for h, a in enumerate(self.actors)]
             )
-            gl: dict = {}
-            for x in res:
-                for k, v in (x.get("globals") or {}).items():
-                    gl[k] = gl.get(k, 0.0) + v
-            glob_next = gl or None
+            glob_next = _reduce_globals([x["globals"] for x in res])
             _free_bundles(prod)  # round-r bundles: consumed by the barrier above
             mut_applied = staged is not None
             mutated = mutated or mut_applied

@@ -15,32 +15,42 @@ The contract (driver round r = 1, 2, ...):
    the global active total is 0 (zero-pending termination,
    grape/parallel/default_message_manager.h:324-350).
 
-Programs that need a global scalar before round 1 (PageRank's dangling
-count, grape/communication/communicator.h Sum) return partials from
-``init``; the driver sums value-wise and calls ``set_globals``.
+Global scalars travel on one channel (grape/communication/communicator.h
+Sum): a program queues float partials with ``queue_global`` during
+``init`` or ``update``; the driver reduces them in ascending partition
+order and hands the aggregate to ``set_globals`` before the next
+update (round 1 for partials queued in ``init``, which returns
+nothing).  PageRank's dangling count is such an init-time partial.
+
+``FixedRounds`` carries the fixed-round counter; ``state_arrays`` /
+``state_scalars`` declare the attributes a checkpoint saves and
+restores.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from ..fragment import Fragment
 
-__all__ = ["VertexProgram", "MinPropagation"]
+__all__ = ["VertexProgram", "FixedRounds", "MinPropagation"]
 
 
 class VertexProgram:
     name = "base"
     # default rounds cap if caller gives none
     default_max_rounds = 10**9
+    # checkpointed attribute names: arrays (one parquet column each)
+    # and JSON scalars
+    state_arrays: tuple[str, ...] = ()
+    state_scalars: tuple[str, ...] = ()
 
     def __init__(self, frag: Fragment, **params):
         self.frag = frag
         self.params = params
         self._mut_ops: list[tuple] = []
         self._global_partials: dict[str, float] = {}
+        self._pull_buf = None
 
     # per-superstep mutation (grape/app/mutation_context.h add_edge /
     # remove_edge + worker.h:176-187 processMutation) ----------------
@@ -63,14 +73,15 @@ class VertexProgram:
         return {"op": a[:, 0].astype(np.int8), "src": a[:, 1].astype(np.int64),
                 "dst": a[:, 2].astype(np.int64), "w": a[:, 3]}
 
-    # per-round Communicator scalars (grape/communication/
-    # communicator.h Sum, extended from init-time to every round) ----
+    # Communicator scalars (grape/communication/communicator.h Sum,
+    # from init and every round) ------------------------------------
     def queue_global(self, key: str, value: float):
-        """Queue a float partial during ``update``; the driver value-sums
-        partials across ALL fragments after the round's barrier and
-        delivers the aggregate to every program via ``set_globals``
-        BEFORE the NEXT round's update (one-round-delayed global
-        reduction — see driver.FragmentHost.step)."""
+        """Queue a float partial during ``init`` or ``update``; the
+        driver value-sums partials across ALL fragments in partition
+        order after the barrier and delivers the aggregate to every
+        program via ``set_globals`` BEFORE the NEXT round's update
+        (one-round-delayed global reduction — see
+        driver.FragmentHost.step)."""
         self._global_partials[key] = self._global_partials.get(key, 0.0) + float(value)
 
     def take_globals(self):
@@ -92,8 +103,8 @@ class VertexProgram:
             "mutation (no on_mutation state remap)")
 
     # lifecycle ------------------------------------------------------
-    def init(self) -> dict:
-        return {}
+    def init(self):
+        pass
 
     def set_globals(self, agg: dict):
         pass
@@ -121,13 +132,62 @@ class VertexProgram:
     def output(self) -> dict[str, np.ndarray]:
         raise NotImplementedError
 
+    # shared kernels -------------------------------------------------
+    def pull(self, inner: np.ndarray, outer_vals) -> np.ndarray:
+        """Per-edge neighbor values for a dense pull: ``inner`` plus the
+        mirror-synced ``outer_vals`` (zeros when no sync arrived)
+        assembled into a reused tvnum buffer, gathered in CSR order."""
+        f = self.frag
+        buf = self._pull_buf
+        if buf is None or len(buf) != f.tvnum or buf.dtype != inner.dtype:
+            buf = self._pull_buf = np.empty(f.tvnum, dtype=inner.dtype)
+        buf[: f.ivnum] = inner
+        buf[f.ivnum:] = 0 if outer_vals is None else outer_vals
+        return buf[f.indices]
+
+    def sum_pushes(self, inner: np.ndarray, pushes) -> np.ndarray:
+        """Owner side of the dense mirror-push channel: a copy of the
+        local partials ``inner`` plus every received per-owner slice,
+        added through ``export_lids`` in source-partition order."""
+        sums = inner.copy()
+        for q, vv in pushes:
+            sums[self.frag.export_lids[q]] += vv
+        return sums
+
     # checkpointing --------------------------------------------------
     def state_dict(self) -> tuple[dict, dict]:
-        """(arrays, scalars) capturing everything across-round."""
-        return {}, {}
+        """(arrays, scalars) capturing everything across-round: the
+        attributes named in ``state_arrays`` / ``state_scalars``."""
+        return ({k: getattr(self, k) for k in self.state_arrays},
+                {k: getattr(self, k) for k in self.state_scalars})
 
     def load_state(self, arrays: dict, scalars: dict):
-        pass
+        """Restore the declared attributes; programs with derived data
+        override this, call ``super()`` first and rebuild the rest."""
+        for k in self.state_arrays:
+            setattr(self, k, arrays[k])
+        for k in self.state_scalars:
+            setattr(self, k, scalars[k])
+
+
+class FixedRounds(VertexProgram):
+    """Base for programs that run exactly ``rounds`` update steps: owns
+    the step counter and the ``done`` flag (and checkpoints both)."""
+
+    state_scalars = ("step", "done")
+
+    def __init__(self, frag: Fragment, rounds: int = 10, **params):
+        super().__init__(frag, **params)
+        self.rounds = int(rounds)
+        self.step = 0
+        self.done = self.rounds <= 0
+
+    def tick(self) -> bool:
+        """Advance the step counter; True (with ``done`` set) when the
+        step just taken was the last round."""
+        self.step += 1
+        self.done = self.step >= self.rounds
+        return self.done
 
 
 class MinPropagation(VertexProgram):
@@ -144,20 +204,19 @@ class MinPropagation(VertexProgram):
     # cap per-round local sweeps: long in-partition chains otherwise run
     # O(local diameter) full-edge sweeps inside ONE superstep; the BSP
     # exchange converges globally anyway with bounded, cheaper rounds.
-    # (env-overridable for tuning sweeps on a given graph shape)
-    max_local_iters = int(os.environ.get("LGR_MAX_LOCAL_ITERS", "10"))
+    max_local_iters = 10
     # DENSE sweeps read every edge — at most this many per superstep.
     # Partitions whose labels settle slowly otherwise run up to
     # max_local_iters full-edge sweeps and straggle the whole round
     # (3-4x observed on the 100M-edge web graph); sparse sweeps are
     # frontier-proportional and stay cheap, so they keep the bigger cap.
-    max_dense_sweeps = int(os.environ.get("LGR_MAX_DENSE", "1"))
+    max_dense_sweeps = 1
     # when more than this fraction of mirrors changed, exchange via the
     # DENSE mirror-push channel (contiguous value slices, no gids: half
     # the bytes of (gid,val) pairs and a direct vectorized min at the
     # owner) instead of sparse messages — the push/pull density switch
     # applied to the exchange itself
-    dense_push_frac = float(os.environ.get("LGR_DENSE_PUSH_FRAC", "0.05"))
+    dense_push_frac = 0.05
 
     def _init_vals(self) -> np.ndarray:
         raise NotImplementedError
@@ -173,13 +232,12 @@ class MinPropagation(VertexProgram):
         the CSC-permuted copy (e.g. SSSP's ``w_by_tgt``)."""
         return self._relax(src_vals, None)
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         self.vals = self._init_vals()  # full length tvnum
         self.pending = np.zeros(f.ovnum, dtype=bool)
         self._dirty = True  # force a first local fixpoint in round 1
         self._resume_frontier = None
-        return {}
 
     def _local_fixpoint(self, frontier: np.ndarray | None = None):
         """Propagate to a per-partition fixpoint.  Dense sweeps

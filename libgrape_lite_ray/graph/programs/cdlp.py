@@ -39,30 +39,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import VertexProgram
+from .base import FixedRounds
 
 
-class CDLP(VertexProgram):
+class CDLP(FixedRounds):
     name = "cdlp"
+    state_arrays = ("labels",)
 
-    def __init__(self, frag, rounds: int = 10, **kw):
-        super().__init__(frag, **kw)
-        self.rounds = int(rounds)
+    def _init_seg_hi(self):
+        """Precomputed high halves of the packed sort keys (fast path):
+        src_of_edge never changes, so pay the widening shift once."""
+        self._seg_hi = (
+            self.frag.src_of_edge.astype(np.int64) << 32
+            if self.labels.dtype == np.int32 and self.frag.num_local_edges
+            else None
+        )
 
-    def init(self) -> dict:
+    def init(self):
         # int32 labels when gids fit: halves the lexsort + exchange
         # traffic of the per-round dense sync (output casts back)
         dt = np.int32 if int(self.frag.starts[-1]) < 2**31 - 1 else np.int64
         self.labels = self.frag.all_gids().astype(dt)
-        # precomputed high halves of the packed sort keys (fast path):
-        # src_of_edge never changes, so pay the widening shift once
-        self._seg_hi = (
-            self.frag.src_of_edge.astype(np.int64) << 32
-            if dt == np.int32 and self.frag.num_local_edges
-            else None
-        )
-        self.step = 0
-        self.done = self.rounds <= 0
+        self._init_seg_hi()
         # labels start as gids -> globally distinct: the first _mode is
         # a pure min-reduce (see module docstring).  Only valid when the
         # adjacency is multi-edge-free: weighted graphs retain parallel
@@ -72,7 +70,6 @@ class CDLP(VertexProgram):
         # changed-count from the previous round drives the adaptive
         # sort kind; init high = assume high entropy
         self._prev_changed = self.frag.ivnum
-        return {}
 
     def mirror_values(self, rnd: int):
         return None if self.done else self.labels[: self.frag.ivnum]
@@ -147,28 +144,15 @@ class CDLP(VertexProgram):
         new = self._mode()
         self._prev_changed = int(np.count_nonzero(new != self.labels[: f.ivnum]))
         self.labels[: f.ivnum] = new
-        self.step += 1
-        if self.step >= self.rounds:
-            self.done = True
-            return 0
-        return 1
+        return 0 if self.tick() else 1
 
     def output(self):
         return {"gid": self.frag.inner_gids(),
                 "label": self.labels[: self.frag.ivnum].astype(np.int64)}
 
-    def state_dict(self):
-        return ({"labels": self.labels}, {"step": self.step, "done": bool(self.done)})
-
     def load_state(self, arrays, scalars):
-        self.labels = arrays["labels"]
-        self._seg_hi = (
-            self.frag.src_of_edge.astype(np.int64) << 32
-            if self.labels.dtype == np.int32 and self.frag.num_local_edges
-            else None
-        )
-        self.step = int(scalars["step"])
-        self.done = bool(scalars["done"])
+        super().load_state(arrays, scalars)
+        self._init_seg_hi()
         # resumed mid-run: labels are no longer the distinct init gids
         # (step 0 checkpoints restart via init instead), and assume
         # high entropy for the first resumed sort

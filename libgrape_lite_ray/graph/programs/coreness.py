@@ -46,22 +46,17 @@ def _segment_hindex(indptr: np.ndarray, nbr_vals: np.ndarray) -> np.ndarray:
 
 class Coreness(VertexProgram):
     name = "coreness"
+    state_arrays = ("c",)
 
-    def init(self) -> dict:
-        f = self.frag
-        self.c = f.out_degree.astype(np.int64)
-        self.full = np.empty(f.tvnum, dtype=np.int64)
-        return {}
+    def init(self):
+        self.c = self.frag.out_degree.astype(np.int64)
 
     def mirror_values(self, rnd: int):
         return self.c
 
     def update(self, rnd: int, outer_vals, msgs, pushes=()) -> int:
         f = self.frag
-        self.full[: f.ivnum] = self.c
-        if outer_vals is not None:
-            self.full[f.ivnum:] = outer_vals.astype(np.int64)
-        h = _segment_hindex(f.indptr, self.full[f.indices])
+        h = _segment_hindex(f.indptr, self.pull(self.c, outer_vals))
         new = np.minimum(self.c, h)
         changed = int((new != self.c).sum())
         self.c = new
@@ -69,11 +64,3 @@ class Coreness(VertexProgram):
 
     def output(self):
         return {"gid": self.frag.inner_gids(), "coreness": self.c}
-
-    def state_dict(self):
-        return {"c": self.c}, {}
-
-    def load_state(self, arrays, scalars):
-        f = self.frag
-        self.c = arrays["c"]
-        self.full = np.empty(f.tvnum, dtype=np.int64)

@@ -16,9 +16,8 @@ from .base import VertexProgram
 class Degree(VertexProgram):
     name = "degree"
 
-    def init(self) -> dict:
+    def init(self):
         self.done = True
-        return {}
 
     def mirror_values(self, rnd: int):
         return None
@@ -29,9 +28,3 @@ class Degree(VertexProgram):
     def output(self):
         return {"gid": self.frag.inner_gids(),
                 "degree": self.frag.out_degree.astype(np.int64)}
-
-    def state_dict(self):
-        return {}, {}
-
-    def load_state(self, arrays, scalars):
-        pass

@@ -21,11 +21,11 @@ over the two exchange channels:
   its out-adjacency (``segment_sum``), divided by the global authority
   norm.
 
-Normalization uses the per-round Communicator channel
-(``queue_global``/``set_globals``, grape/communication/communicator.h
-Sum extended to every round): each update queues its local L1 partial,
-the driver value-sums after the barrier and delivers the global norm
-before the NEXT round's update — a one-round-delayed global reduction.
+Normalization uses the Communicator channel (``queue_global``/
+``set_globals``, grape/communication/communicator.h Sum): each update
+queues its local L1 partial, the driver sums the partials in partition
+order after the barrier and delivers the global norm before the NEXT
+round's update — a one-round-delayed global reduction.
 Because normalization is a scalar rescale and HITS is linear, delaying
 it changes no final value; it only keeps the floats in range.  One
 extra finalize round delivers the last hub norm, so ``rounds``
@@ -45,6 +45,8 @@ from .base import VertexProgram
 
 class HITS(VertexProgram):
     name = "hits"
+    state_arrays = ("a_raw", "h_raw", "a_norm", "h_norm")
+    state_scalars = ("step_no", "gl")
 
     def __init__(self, frag, rounds: int = 8, **kw):
         super().__init__(frag, **kw)
@@ -59,17 +61,15 @@ class HITS(VertexProgram):
         self.buf = np.zeros(f.tvnum, dtype=np.float64)
         f.push_sum(self.buf, np.repeat(self.h_raw, np.diff(f.indptr)))
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         self.gl: dict = {}
         self.h_raw = np.ones(f.ivnum, dtype=np.float64)  # h_0 = 1 (norm 1-free)
         self.a_raw = np.zeros(f.ivnum, dtype=np.float64)
         self.a_norm = np.zeros(f.ivnum, dtype=np.float64)
         self.h_norm = np.zeros(f.ivnum, dtype=np.float64)
-        self.full = np.empty(f.tvnum, dtype=np.float64)
         self._scatter_hub()
         self.step_no = 0
-        return {}
 
     def set_globals(self, agg: dict):
         self.gl.update(agg)
@@ -94,17 +94,11 @@ class HITS(VertexProgram):
             return 0
         if rnd % 2 == 1:  # a-phase (iteration k = (rnd+1)//2)
             div = 1.0 if rnd == 1 else (self.gl.get("nh", 0.0) or 1.0)
-            sums = self.buf[: f.ivnum].copy()
-            for q, vv in pushes:
-                sums[f.export_lids[q]] += vv
-            self.a_raw = sums / div
+            self.a_raw = self.sum_pushes(self.buf[: f.ivnum], pushes) / div
             self.queue_global("na", float(self.a_raw.sum()))
         else:  # h-phase (iteration k = rnd//2)
             na = self.gl.get("na", 0.0) or 1.0
-            self.full[: f.ivnum] = self.a_raw
-            if f.ovnum:
-                self.full[f.ivnum:] = outer_vals if outer_vals is not None else 0.0
-            self.h_raw = f.segment_sum(self.full[f.indices]) / na
+            self.h_raw = f.segment_sum(self.pull(self.a_raw, outer_vals)) / na
             self.queue_global("nh", float(self.h_raw.sum()))
             self.a_norm = self.a_raw / na  # na is final for this iteration
             if rnd < last:
@@ -123,22 +117,8 @@ class HITS(VertexProgram):
         return {"gid": self.frag.inner_gids(),
                 "authority": self.a_norm, "hub": self.h_norm}
 
-    def state_dict(self):
-        return (
-            {"a_raw": self.a_raw, "h_raw": self.h_raw,
-             "a_norm": self.a_norm, "h_norm": self.h_norm},
-            {"step_no": self.step_no, "gl": dict(self.gl)},
-        )
-
     def load_state(self, arrays, scalars):
-        f = self.frag
-        self.a_raw = arrays["a_raw"]
-        self.h_raw = arrays["h_raw"]
-        self.a_norm = arrays["a_norm"]
-        self.h_norm = arrays["h_norm"]
-        self.gl = dict(scalars["gl"])
-        self.step_no = int(scalars["step_no"])
-        self.full = np.empty(f.tvnum, dtype=np.float64)
+        super().load_state(arrays, scalars)
         # next produce is round step_no+1: odd rounds export the hub
         # scatter, which must be rebuilt from the restored h_raw
         self._scatter_hub()

@@ -25,17 +25,16 @@ from .base import VertexProgram
 
 class KCore(VertexProgram):
     name = "kcore"
+    state_arrays = ("alive",)
+    state_scalars = ("k", "done")
 
     def __init__(self, frag, k: int = 3, **kw):
         super().__init__(frag, **kw)
         self.k = int(k)
 
-    def init(self) -> dict:
-        f = self.frag
-        self.alive = np.ones(f.ivnum, dtype=np.float64)
-        self.full = np.empty(f.tvnum, dtype=np.float64)
+    def init(self):
+        self.alive = np.ones(self.frag.ivnum, dtype=np.float64)
         self.done = False
-        return {}
 
     def mirror_values(self, rnd: int):
         return None if self.done else self.alive
@@ -43,11 +42,7 @@ class KCore(VertexProgram):
     def update(self, rnd: int, outer_vals, msgs, pushes=()) -> int:
         if self.done:
             return 0
-        f = self.frag
-        self.full[: f.ivnum] = self.alive
-        if outer_vals is not None:
-            self.full[f.ivnum:] = outer_vals
-        alive_deg = f.segment_sum(self.full[f.indices])
+        alive_deg = self.frag.segment_sum(self.pull(self.alive, outer_vals))
         kill = (self.alive > 0) & (alive_deg < self.k)
         self.alive[kill] = 0.0
         return int(kill.sum())
@@ -55,13 +50,3 @@ class KCore(VertexProgram):
     def output(self):
         return {"gid": self.frag.inner_gids(),
                 "in_kcore": (self.alive > 0).astype(np.int64)}
-
-    def state_dict(self):
-        return {"alive": self.alive}, {"k": self.k, "done": bool(self.done)}
-
-    def load_state(self, arrays, scalars):
-        f = self.frag
-        self.alive = arrays["alive"]
-        self.full = np.empty(f.tvnum, dtype=np.float64)
-        self.k = int(scalars["k"])
-        self.done = bool(scalars["done"])

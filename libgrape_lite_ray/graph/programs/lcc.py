@@ -57,7 +57,7 @@ class LCC(VertexProgram):
     name = "lcc"
     default_max_rounds = 5
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         self.stage = 0
         self.deg_full = np.zeros(f.tvnum, dtype=np.int64)
@@ -65,7 +65,6 @@ class LCC(VertexProgram):
         self.tricnt = np.zeros(f.tvnum, dtype=np.int64)
         self.requested: dict[int, np.ndarray] = {}
         self.done = False
-        return {}
 
     # ---------------------------------------------------------- produce
     def mirror_values(self, rnd: int):

@@ -38,6 +38,8 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 class MSBFS(VertexProgram):
     name = "msbfs"
+    state_arrays = ("frontier", "visited", "n_reach", "sum_d")
+    state_scalars = ("S",)
 
     def __init__(self, frag, n_sources: int = 64, **kw):
         super().__init__(frag, **kw)
@@ -45,7 +47,7 @@ class MSBFS(VertexProgram):
             raise ValueError("n_sources must be in [1, 64]")
         self.S = int(n_sources)
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         gids = f.inner_gids()
         self.frontier = np.zeros(f.ivnum, dtype=np.uint64)
@@ -54,8 +56,6 @@ class MSBFS(VertexProgram):
         self.visited = self.frontier.copy()
         self.n_reach = _popcount64(self.visited)
         self.sum_d = np.zeros(f.ivnum, dtype=np.int64)
-        self.full = np.empty(f.tvnum, dtype=np.uint64)
-        return {}
 
     def mirror_values(self, rnd: int):
         # masks ride the dense sync as int64 bit-patterns
@@ -63,10 +63,8 @@ class MSBFS(VertexProgram):
 
     def update(self, rnd: int, outer_vals, msgs, pushes=()) -> int:
         f = self.frag
-        self.full[: f.ivnum] = self.frontier
-        if outer_vals is not None:
-            self.full[f.ivnum:] = outer_vals.view(np.uint64)
-        ev = self.full[f.indices]
+        ev = self.pull(self.frontier,
+                       None if outer_vals is None else outer_vals.view(np.uint64))
         nbr_or = np.zeros(f.ivnum, dtype=np.uint64)
         starts = f.indptr[:-1]
         valid = f.indptr[1:] > starts
@@ -85,17 +83,8 @@ class MSBFS(VertexProgram):
                 "n_reach": self.n_reach,
                 "sum_dist": self.sum_d}
 
-    def state_dict(self):
-        return ({"frontier": self.frontier.view(np.int64),
-                 "visited": self.visited.view(np.int64),
-                 "n_reach": self.n_reach, "sum_d": self.sum_d},
-                {"S": self.S})
-
     def load_state(self, arrays, scalars):
-        f = self.frag
-        self.frontier = arrays["frontier"].view(np.uint64)
-        self.visited = arrays["visited"].view(np.uint64)
-        self.n_reach = arrays["n_reach"]
-        self.sum_d = arrays["sum_d"]
-        self.S = int(scalars["S"])
-        self.full = np.empty(f.tvnum, dtype=np.uint64)
+        super().load_state(arrays, scalars)
+        # older checkpoints hold the masks as int64 bit-patterns
+        self.frontier = self.frontier.view(np.uint64)
+        self.visited = self.visited.view(np.uint64)

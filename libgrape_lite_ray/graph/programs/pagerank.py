@@ -19,27 +19,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import VertexProgram
+from .base import FixedRounds
 
 
-class PageRank(VertexProgram):
+class PageRank(FixedRounds):
     name = "pagerank"
+    state_arrays = ("result",)
+    state_scalars = FixedRounds.state_scalars + ("dangling_sum", "total_dangling", "n")
 
     def __init__(self, frag, rounds: int = 10, damping: float = 0.85, **kw):
-        super().__init__(frag, **kw)
-        self.rounds = int(rounds)
+        super().__init__(frag, rounds, **kw)
         self.d = float(damping)
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         self.n = int(f.starts[-1])
         p = 1.0 / self.n
         deg = f.out_degree
         self.result = np.where(deg > 0, p / np.maximum(deg, 1), p)
-        self.full = np.empty(f.tvnum, dtype=np.float64)
-        self.step = 0
-        self.done = self.rounds <= 0
-        return {"dangling": int((deg == 0).sum())}
+        self.queue_global("dangling", int((deg == 0).sum()))
 
     def set_globals(self, agg: dict):
         self.total_dangling = int(agg.get("dangling", 0))
@@ -52,38 +50,15 @@ class PageRank(VertexProgram):
         if self.done:
             return 0
         f = self.frag
-        self.full[: f.ivnum] = self.result
-        if outer_vals is not None:
-            self.full[f.ivnum:] = outer_vals
         base = (1.0 - self.d) / self.n + self.d * self.dangling_sum / self.n
         self.dangling_sum = base * self.total_dangling
-        cur = f.segment_sum(self.full[f.indices])
+        cur = f.segment_sum(self.pull(self.result, outer_vals))
         deg = f.out_degree
         self.result = np.where(deg > 0, (self.d * cur + base) / np.maximum(deg, 1), base)
-        self.step += 1
-        if self.step >= self.rounds:
+        if self.tick():
             self.result = np.where(deg > 0, self.result * deg, self.result)
-            self.done = True
             return 0
         return 1
 
     def output(self):
         return {"gid": self.frag.inner_gids(), "pagerank": self.result}
-
-    def state_dict(self):
-        return (
-            {"result": self.result},
-            {"step": self.step, "dangling_sum": self.dangling_sum,
-             "done": bool(self.done), "total_dangling": self.total_dangling,
-             "n": self.n},
-        )
-
-    def load_state(self, arrays, scalars):
-        f = self.frag
-        self.result = arrays["result"]
-        self.full = np.empty(f.tvnum, dtype=np.float64)
-        self.step = int(scalars["step"])
-        self.dangling_sum = float(scalars["dangling_sum"])
-        self.done = bool(scalars["done"])
-        self.total_dangling = int(scalars["total_dangling"])
-        self.n = int(scalars["n"])

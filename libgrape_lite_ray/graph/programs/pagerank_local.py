@@ -25,32 +25,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import VertexProgram
+from .base import FixedRounds
 
 
-class PageRankLocal(VertexProgram):
+class PageRankLocal(FixedRounds):
     name = "pagerank_local"
+    state_arrays = ("result", "rank")
 
     def __init__(self, frag, rounds: int = 10, damping: float = 0.85,
                  eps: float = 0.0, **kw):
-        super().__init__(frag, **kw)
-        self.rounds = int(rounds)
+        super().__init__(frag, rounds, **kw)
         self.d = float(damping)
         self.eps = float(eps)
 
-    def init(self) -> dict:
-        f = self.frag
-        deg = f.out_degree
+    def init(self):
+        deg = self.frag.out_degree
         # stored (exchanged) state is the divided form; `rank` keeps the
         # undivided value so eps-mode can stop at ANY round and still
         # output last_step semantics (divide-all-but-last == output the
         # undivided rank)
         self.result = np.where(deg > 0, 1.0 / np.maximum(deg, 1), 1.0)
         self.rank = self.result.copy()
-        self.full = np.empty(f.tvnum, dtype=np.float64)
-        self.step = 0
-        self.done = self.rounds <= 0
-        return {}
 
     def mirror_values(self, rnd: int):
         return None if self.done else self.result
@@ -59,16 +54,11 @@ class PageRankLocal(VertexProgram):
         if self.done:
             return 0
         f = self.frag
-        self.full[: f.ivnum] = self.result
-        if outer_vals is not None:
-            self.full[f.ivnum:] = outer_vals
-        cur = f.segment_sum(self.full[f.indices])
+        cur = f.segment_sum(self.pull(self.result, outer_vals))
         new_rank = (1.0 - self.d) + self.d * cur
         delta = float(np.abs(new_rank - self.rank).max()) if f.ivnum else 0.0
         self.rank = new_rank
-        self.step += 1
-        if self.step >= self.rounds:
-            self.done = True
+        if self.tick():
             return 0
         deg = f.out_degree
         self.result = np.where(deg > 0, new_rank / np.maximum(deg, 1), new_rank)
@@ -83,17 +73,3 @@ class PageRankLocal(VertexProgram):
 
     def output(self):
         return {"gid": self.frag.inner_gids(), "pagerank": self.rank}
-
-    def state_dict(self):
-        return (
-            {"result": self.result, "rank": self.rank},
-            {"step": self.step, "done": bool(self.done)},
-        )
-
-    def load_state(self, arrays, scalars):
-        f = self.frag
-        self.result = arrays["result"]
-        self.rank = arrays["rank"]
-        self.full = np.empty(f.tvnum, dtype=np.float64)
-        self.step = int(scalars["step"])
-        self.done = bool(scalars["done"])

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import VertexProgram
+from .base import FixedRounds
 
 
-class PPR(VertexProgram):
+class PPR(FixedRounds):
     name = "ppr"
+    state_arrays = ("rank",)
 
     def __init__(self, frag, sources=(0,), rounds: int = 10,
                  damping: float = 0.85, weighted: bool = False, **kw):
-        super().__init__(frag, **kw)
+        super().__init__(frag, rounds, **kw)
         self.sources = np.asarray(sorted(int(s) for s in sources), np.int64)
         if len(self.sources) == 0:
             raise ValueError("ppr needs at least one source gid")
@@ -46,7 +47,6 @@ class PPR(VertexProgram):
         bad = self.sources[(self.sources < 0) | (self.sources >= V)]
         if len(bad):
             raise ValueError(f"ppr source gids {bad.tolist()} outside [0, {V})")
-        self.rounds = int(rounds)
         self.d = float(damping)
         self.weighted = bool(weighted)
         if self.weighted and frag.edge_w is None:
@@ -87,15 +87,12 @@ class PPR(VertexProgram):
         W = np.bincount(src, weights=w, minlength=f.ivnum)
         return w / np.maximum(W[src], 1e-300)
 
-    def init(self) -> dict:
+    def init(self):
         self.e = self._teleport()
         self.rank = self.e.copy()
         if self.weighted:
             self._trans = self._edge_transitions()
         self._scatter()
-        self.step = 0
-        self.done = self.rounds <= 0
-        return {}
 
     def mirror_push(self, rnd: int):
         return None if self.done else self.buf[self.frag.ivnum:]
@@ -103,14 +100,9 @@ class PPR(VertexProgram):
     def update(self, rnd: int, outer_vals, msgs, pushes=()) -> int:
         if self.done:
             return 0
-        f = self.frag
-        sums = self.buf[: f.ivnum].copy()
-        for q, vv in pushes:
-            sums[f.export_lids[q]] += vv
+        sums = self.sum_pushes(self.buf[: self.frag.ivnum], pushes)
         self.rank = (1.0 - self.d) * self.e + self.d * sums
-        self.step += 1
-        if self.step >= self.rounds:
-            self.done = True
+        if self.tick():
             return 0
         self._scatter()
         return 1
@@ -118,15 +110,9 @@ class PPR(VertexProgram):
     def output(self):
         return {"gid": self.frag.inner_gids(), "ppr": self.rank}
 
-    def state_dict(self):
-        return ({"rank": self.rank},
-                {"step": self.step, "done": bool(self.done)})
-
     def load_state(self, arrays, scalars):
+        super().load_state(arrays, scalars)
         self.e = self._teleport()
-        self.rank = arrays["rank"]
-        self.step = int(scalars["step"])
-        self.done = bool(scalars["done"])
         if self.weighted:
             self._trans = self._edge_transitions()
         if not self.done:

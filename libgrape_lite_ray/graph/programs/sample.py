@@ -36,9 +36,6 @@ class SampleNeighbors(VertexProgram):
         self.strategy = strategy
         self.seed = int(seed)
 
-    def init(self) -> dict:
-        return {}
-
     def update(self, rnd: int, outer_vals, msgs, pushes=()) -> int:
         """Fully vectorized segment top-k: ONE lexsort over all edges
         keyed (src, sort-key) then a rank-within-segment mask — no
@@ -210,7 +207,7 @@ class MultiHopSampler(VertexProgram):
         setattr(f, attr, idx)
         return idx
 
-    def init(self) -> dict:
+    def init(self):
         f = self.frag
         own = self.sources[(self.sources >= f.lo) & (self.sources < f.hi)]
         # hop-1 frontier: (root=source, v=source) pairs at their owner
@@ -220,7 +217,6 @@ class MultiHopSampler(VertexProgram):
         self._out = []  # (hop, root, src, dst) arrays per round
         self._next = {}
         self.done = not self.hops
-        return {}
 
     def mirror_values(self, rnd: int):
         return None

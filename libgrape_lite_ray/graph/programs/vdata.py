@@ -72,9 +72,8 @@ class VDataMatch(VertexProgram):
             col = sorted(frag.vdata_full)[0]
         self.col = col
 
-    def init(self) -> dict:
+    def init(self):
         self.done = True
-        return {}
 
     def mirror_values(self, rnd: int):
         return None

@@ -20,8 +20,7 @@ working set is bounded by design (CSR shards + per-round temps).
 
 This is also the correct configuration on real multi-node clusters
 with memory ballooning, and harmless elsewhere (steady-state RSS of a
-superstep engine is its peak anyway).  Opt out with
-``LGR_NO_MALLOC_TUNE=1``.
+superstep engine is its peak anyway).
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ def keep_heap_resident() -> bool:
     global _done
     if _done:
         return True
-    if os.environ.get("LGR_NO_MALLOC_TUNE"):
-        return False
     try:
         libc = ctypes.CDLL("libc.so.6", use_errno=True)
         ok = (libc.mallopt(_M_TRIM_THRESHOLD, ctypes.c_int(2**31 - 1))

@@ -234,17 +234,14 @@ def test_join_translate_path_matches_broadcast(ray_session, tmp_work):
 def test_memtune_applied():
     """keep_heap_resident applies the malloc tuning where invoked
     (FragmentHost init / bench entry, NOT library import — see
-    ADVICE round 2).  Gated: on non-glibc platforms or with
-    LGR_NO_MALLOC_TUNE set there is nothing to tune."""
+    ADVICE round 2).  Gated: on non-glibc platforms there is nothing
+    to tune."""
     import ctypes
-    import os
 
     import pytest
 
     from libgrape_lite_ray.memtune import keep_heap_resident
 
-    if os.environ.get("LGR_NO_MALLOC_TUNE"):
-        pytest.skip("LGR_NO_MALLOC_TUNE set")
     try:
         ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
