@@ -1330,13 +1330,17 @@ def _q_audio_features(sf_dir: str):
 
     from libgrape_lite_ray.ops.multimodal import ResampleAudio
 
+    # half-CPU pool actors: two chained pools of two whole-CPU actors
+    # would reserve all 4 CPUs of a small cluster and starve the read
+    # tasks that feed them
     return (
         _docs(sf_dir)
         .map_batches(attach, batch_format="pyarrow", batch_size=256)
         .map_batches(ResampleAudio, fn_constructor_kwargs={"target_sr": 8_000},
-                     batch_format="pyarrow", batch_size=256, concurrency=2)
+                     batch_format="pyarrow", batch_size=256, concurrency=2,
+                     num_cpus=0.5)
         .map_batches(DecodeAudio, batch_format="pyarrow",
-                     batch_size=256, concurrency=2)
+                     batch_size=256, concurrency=2, num_cpus=0.5)
     )
 
 

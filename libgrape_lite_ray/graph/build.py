@@ -13,10 +13,11 @@ basic_fragment_loader.h:83-364): instead of MPI shuffles we use
      reference likewise gathers its vertex map in one step,
      basic_fragment_loader.h:221-236.  Above the threshold: one global
      sort of the partials + per-block offsets, reconciled on the driver,
-  3. degree-aware contiguous partition boundaries from
-     ``ids.weighted_partition_starts`` (grape/worker/rebalancer.h
-     analog): exact per-vertex ``deg + 1`` weights in the one-task
-     path, per-block samples of the sorted partials above it,
+  3. degree-aware contiguous partition boundaries (grape/worker/
+     rebalancer.h analog) from ONE gid-bucket histogram of ``deg + 1``
+     weight, the same on every path (``_gid_histogram`` ->
+     ``_histogram_starts``): the exact per-vertex split up to 2**20
+     vertices, boundaries snapped to bucket ends above,
   4. a vectorized oid->gid translation (`pc.index_in` against the
      broadcast sorted-oid dictionary, passed by object ref, or two
      Dataset.joins at scale),
@@ -36,7 +37,7 @@ view comes from it: a directed build routes ``"out"``;
 ``"both"`` with the donor's dictionary and starts.
 
 Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4: gid == oid,
-and the boundaries come from one fixed-size endpoint histogram.
+and the histogram counts the edge endpoints directly.
 
 Each fragment sorts its own slice by (src, dst) and dedups multi-edges
 at load (all out-edges of a vertex are colocated), matching
@@ -292,10 +293,11 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
         raise ValueError("empty edge input")
     if n_partials <= broadcast_threshold:
         # ---- 2-4. small dictionary: ONE task merges the partials,
-        # writes vertices/ and computes exact starts; the driver keeps
+        # writes vertices/ and computes the starts; the driver keeps
         # only the dictionary's ref for the broadcast translate
         info_ref, dict_ref = ray.remote(num_returns=2)(_merge_dictionary).remote(
-            os.path.join(work_dir, "vertices"), num_partitions, *ep.to_arrow_refs())
+            os.path.join(work_dir, "vertices"), num_partitions, _HIST_BUCKETS,
+            *ep.to_arrow_refs())
         num_vertices, num_partitions, starts = ray.get(info_ref)
         del ep
         edges_gid = _translate_broadcast(edges_ds, dict_ref)
@@ -324,30 +326,15 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
         return oid.take(pa.array(starts_i)), cw[ends] - cw[starts_i]
 
     def summarize(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({
-                "first_oid": pa.array([], t.column("oid").type),
-                "last_oid": pa.array([], t.column("oid").type),
-                "n_rows": pa.array([], pa.int64()),
-                "n_unique": pa.array([], pa.int64()),
-                "sample_pos": pa.array([], pa.list_(pa.int64())),
-                "sample_cumw": pa.array([], pa.list_(pa.float64())),
-            })
-        u_oid, u_w = _block_uniques(t)
-        n = len(u_oid)
-        step = max(1, n // 64)
-        pos = np.arange(0, n, step, dtype=np.int64)
-        cumw = np.cumsum(u_w)
-        return pa.table(
-            {
-                "first_oid": pa.array([u_oid[0].as_py()]),
-                "last_oid": pa.array([u_oid[-1].as_py()]),
-                "n_rows": pa.array([len(t)], pa.int64()),
-                "n_unique": pa.array([n], pa.int64()),
-                "sample_pos": pa.array([pos.tolist()], pa.list_(pa.int64())),
-                "sample_cumw": pa.array([cumw[pos].tolist()], pa.list_(pa.float64())),
-            }
-        )
+        """(first oid, last oid, rows, distinct oids) of a sorted block;
+        an empty block yields no row."""
+        oid = t.column("oid")
+        n = min(len(t), 1)
+        return pa.table({
+            "first_oid": oid.slice(0, n), "last_oid": oid.slice(len(t) - n, n),
+            "n_rows": pa.array([len(t)] * n, pa.int64()),
+            "n_unique": pa.array([pc.count_distinct(oid).as_py()] * n, pa.int64()),
+        })
 
     summaries = vds.map_batches(summarize, batch_format="pyarrow", batch_size=None).take_all()
     summaries.sort(key=lambda r: (r["first_oid"], r["last_oid"]))
@@ -356,26 +343,16 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
     plan: dict = {}
     total = 0
     prev_last = None
-    sample_gids, sample_w = [], []
     for srow in summaries:
         skip = 1 if (prev_last is not None and srow["first_oid"] == prev_last) else 0
         key = (srow["first_oid"], srow["last_oid"], srow["n_rows"])
         if key in plan:
             raise RuntimeError("ambiguous sorted-block key; vertex dict degenerate")
         plan[key] = (total - skip, skip)
-        pos = np.asarray(srow["sample_pos"], dtype=np.int64)
-        cumw = np.asarray(srow["sample_cumw"], dtype=np.float64)
-        sample_gids.append(total - skip + pos)
-        w_at = np.diff(np.concatenate([[0.0], cumw]))
-        sample_w.append(np.maximum(w_at, 0.0) + 1.0)  # +1 = vertex factor
         total += srow["n_unique"] - skip
         prev_last = srow["last_oid"]
     num_vertices = total
     num_partitions = min(num_partitions, max(1, num_vertices))
-    starts = weighted_partition_starts(
-        np.concatenate(sample_gids), np.concatenate(sample_w),
-        num_vertices, num_partitions,
-    )
 
     # ---- 3. write vertex dict (oid, gid, weight), preserving block order
     def assign_gids(t: pa.Table) -> pa.Table:
@@ -396,6 +373,7 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
     vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None).materialize()
     del vds
     vtx.write_parquet(os.path.join(work_dir, "vertices"))
+    starts = _dataset_starts(vtx, num_vertices, num_partitions, ["gid"], "weight")
 
     # ---- 4. translate edges to gid space
     if num_vertices <= broadcast_threshold:
@@ -438,69 +416,80 @@ def _prepare_edges(edges_ds, weight_col):
     return edges_ds
 
 
-def _merge_dictionary(vertices_dir: str, num_partitions: int, *partials: pa.Table):
+def _merge_dictionary(vertices_dir: str, num_partitions: int, max_buckets: int,
+                      *partials: pa.Table):
     """One task: (oid, cnt) partials -> vertex dictionary (gid = rank in
     oid order, weight = total degree) written to ``vertices_dir``, and
-    exact ``deg + 1`` starts.  Returns ``((V, P, starts), sorted_oids)``
-    as two objects, so the caller fetches only the scalars."""
+    its histogram starts over ``min(V, max_buckets)`` buckets.  Returns
+    ``((V, P, starts), sorted_oids)`` as two objects, so the caller
+    fetches only the scalars."""
     # empty blocks can come back from Ray Data with no columns at all
     t = pa.concat_tables([p for p in partials if p.num_rows])
     t = t.group_by("oid").aggregate([("cnt", "sum")])
     t = t.sort_by("oid")
     oids = t.column("oid").combine_chunks()
-    w = t.column("cnt_sum").to_numpy().astype(np.float64)
     V = len(oids)
+    vt = pa.table({"oid": oids, "gid": np.arange(V, dtype=np.int64),
+                   "weight": t.column("cnt_sum").to_numpy().astype(np.float64)})
     os.makedirs(vertices_dir, exist_ok=True)
-    pq.write_table(
-        pa.table({"oid": oids, "gid": np.arange(V, dtype=np.int64), "weight": w}),
-        os.path.join(vertices_dir, "part-0.parquet"))
+    pq.write_table(vt, os.path.join(vertices_dir, "part-0.parquet"))
     P = min(num_partitions, max(1, V))
-    starts = weighted_partition_starts(np.arange(V, dtype=np.int64), w + 1.0, V, P)
-    return (V, P, starts), oids
+    hist = _gid_histogram(vt, ["gid"], V, min(V, max_buckets), "weight")
+    return (V, P, _histogram_starts(hist, V, P)), oids
 
 
 _HIST_BUCKETS = 1 << 20
 
 
-def _dense_int_starts(edges_ds, num_vertices: int, num_partitions: int,
-                      copies: int = 1) -> np.ndarray:
-    """Total-degree-balanced starts for dense int oids from ONE pass:
-    every block emits a fixed-size histogram of both endpoints over
-    ``B = min(V, 2**20)`` equal-width gid buckets, the driver sums them
-    in O(B) and weighs bucket b by its endpoint count times ``copies``
-    (routed copies per edge, as in ``_endpoint_weight_table``) plus its
-    vertex count (the +1 vertex factor of its summaries).  With B == V
-    this is exactly the per-vertex ``deg + 1`` split; above 2**20
-    vertices the boundaries snap to bucket ends and driver memory stays
-    O(2**20), not O(V)."""
-    V = int(num_vertices)
+def _gid_histogram(t: pa.Table, cols, V: int, B: int, weight: str | None = None) -> np.ndarray:
+    """Weights of ``B`` equal-width buckets of the gid range ``[0, V)``
+    (gid g falls in bucket ``g * B // V``), summed over the gid columns
+    ``cols`` of ``t``: every value weighs 1, or its row's ``weight``."""
+    w = None if weight is None else t.column(weight).to_numpy(zero_copy_only=False)
+    h = np.zeros(B, np.float64)
+    for c in cols:
+        g = t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+        h += np.bincount(g * B // V, weights=w, minlength=B)
+    return h
+
+
+def _dataset_starts(ds, V: int, P: int, cols=("src", "dst"), weight: str | None = None,
+                    copies: int = 1) -> np.ndarray:
+    """``_histogram_starts`` of the ``_gid_histogram`` of every block of
+    ``ds`` weighed ``copies`` times (routed copies per edge, as in
+    ``_endpoint_weight_table``): ONE pass, summed on the driver in
+    O(B) memory, never O(V)."""
     B = min(V, _HIST_BUCKETS)
 
     def hist(t: pa.Table) -> pa.Table:
-        h = np.zeros(B, np.int64)
-        for c in ("src", "dst"):
-            g = t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
-            h += np.bincount(g * B // V, minlength=B)  # bucket of gid g
         return pa.table({"hist": pa.ListArray.from_arrays(
-            pa.array([0, B], pa.int32()), pa.array(h))})
+            pa.array([0, B], pa.int32()), pa.array(_gid_histogram(t, cols, V, B, weight)))})
 
-    w = np.zeros(B, np.float64)
-    for batch in (edges_ds.select_columns(["src", "dst"])
-                  .map_batches(hist, batch_format="pyarrow", batch_size=None)
+    total = np.zeros(B, np.float64)
+    for batch in (ds.map_batches(hist, batch_format="pyarrow", batch_size=None)
                   .iter_batches(batch_format="pyarrow", batch_size=None)):
         flat = batch.column("hist").combine_chunks().flatten()
-        w += flat.to_numpy().reshape(-1, B).sum(axis=0)
-    w *= copies
+        total += flat.to_numpy().reshape(-1, B).sum(axis=0)
+    total *= copies
+    return _histogram_starts(total, V, P)
+
+
+def _histogram_starts(hist: np.ndarray, V: int, P: int) -> np.ndarray:
+    """Partition starts from a gid-bucket weight histogram (consumed in
+    place): bucket b also weighs its vertex count (the +1 vertex
+    factor), and the boundaries fall on bucket ends.  With B == V this
+    is exactly the per-vertex ``deg + 1`` split."""
+    B = len(hist)
     # bucket b holds gids [ceil(b*V/B), ceil((b+1)*V/B)); in-place
     # arithmetic keeps the driver at a few B-sized arrays
     ends = np.arange(1, B + 1, dtype=np.int64)
     ends *= V
     ends += B - 1
     ends //= B
-    w += ends
-    w[1:] -= ends[:-1]  # + vertices per bucket
+    hist += ends
+    hist[1:] -= ends[:-1]  # + vertices per bucket
     ends -= 1  # last gid of each bucket
-    return weighted_partition_starts(ends, w, V, num_partitions)
+    return weighted_partition_starts(ends, hist, V, P)
 
 
 def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
@@ -516,7 +505,7 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
     agg = edges_ds.aggregate(Max("src", alias_name="ms"), Max("dst", alias_name="md"))
     V = int(max(agg["ms"], agg["md"])) + 1
     P = min(num_partitions, max(1, V))
-    starts = _dense_int_starts(edges_ds, V, P, 2 if symmetrize else 1)
+    starts = _dataset_starts(edges_ds, V, P, copies=2 if symmetrize else 1)
 
     def to_gid(t: pa.Table) -> pa.Table:
         d = {"src_gid": t.column("src").cast(pa.int64()),

@@ -14,8 +14,9 @@ fragment and the running program.  Each superstep:
    store instead of a Dataset op so the CSR state stays in place.
 2. driver routes refs: sync slices to mirror holders, messages to
    destination owners.
-3. ``consume(r)`` on every actor: assemble outer buffers, apply
-   messages, compute (program.update), return the active count.
+3. ``step(r)`` on every actor: assemble outer buffers, apply
+   messages, compute (program.update), return the active count, and
+   produce round r+1 in the same call.
 4. terminate when Σ active == 0 (default_message_manager.h:324-350) or
    the round cap is hit.
 
@@ -23,14 +24,17 @@ Checkpoint/resume (north_rule): every ``checkpoint_every`` rounds each
 actor writes its program state to
 ``ckpt_dir/step={r}/part={p}.parquet`` (+ scalars json); the driver
 writes ``MANIFEST.json`` last (atomicity marker) with lineage
-(fingerprint, algorithm, params, per-round metrics).  ``resume=True``
-restarts from the newest complete step.  Reference analog:
+(fingerprint, algorithm, params, per-round metrics) and the graph
+layout (V and a digest of the partition starts).  ``resume=True``
+restarts from the newest complete step, and refuses a step written
+on a different layout.  Reference analog:
 Serialize/Deserialize (immutable_edgecut_fragment.h:303-376), extended
 to per-superstep granularity.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -43,6 +47,11 @@ from .build import GraphMeta
 from .fragment import Fragment
 
 __all__ = ["FragmentHost", "GraphEngine", "ResultHandle"]
+
+
+def _starts_digest(starts) -> str:
+    """Short digest of a partition layout, recorded in every manifest."""
+    return hashlib.sha256(np.asarray(starts, np.int64).tobytes()).hexdigest()[:16]
 
 
 def _reduce_globals(harvests) -> dict | None:
@@ -430,12 +439,6 @@ class FragmentHost:
                     for p in self.parts]
             return sum(f.result() for f in futs)
         return sum(self._apply_one(p, rnd, pairs) for p in self.parts)
-
-    def consume(self, rnd: int, incoming: list):
-        t0 = time.perf_counter()
-        pairs = self._gather_pairs(rnd, incoming)
-        active = self._apply_all(rnd, pairs)
-        return {"active": int(active), "consume_s": time.perf_counter() - t0}
 
     def step(self, rnd: int, incoming: list, ckpt_dir: str | None = None,
              muts_in: dict | None = None, globals_in: dict | None = None):
@@ -911,6 +914,7 @@ class GraphEngine:
             "num_partitions": self.meta.num_partitions,
             "fingerprint": self.meta.fingerprint,
             "num_vertices": self.meta.num_vertices,
+            "starts_digest": _starts_digest(self.meta.starts),
             "converged": bool(converged),
             "round_log": metrics["round_log"][-1:],
             # in-flight Communicator aggregate (summed post-barrier):
@@ -925,6 +929,7 @@ class GraphEngine:
     def _latest_step(self, ckpt_dir: str, program: str):
         if not os.path.isdir(ckpt_dir):
             return None
+        V, digest = self.meta.num_vertices, _starts_digest(self.meta.starts)
         best = None
         for d in os.listdir(ckpt_dir):
             if not d.startswith("step="):
@@ -938,6 +943,14 @@ class GraphEngine:
                 continue
             if m["fingerprint"] != self.meta.fingerprint:
                 continue
+            # a manifest without the digest predates it: V alone decides
+            if (m.get("num_vertices", V) != V
+                    or m.get("starts_digest", digest) != digest):
+                raise ValueError(
+                    f"checkpoint {mp} was written on a different graph layout "
+                    f"(V={m.get('num_vertices')}, starts digest "
+                    f"{m.get('starts_digest')}) than the loaded graph (V={V}, "
+                    f"starts digest {digest}, starts {self.meta.starts.tolist()})")
             step = int(m["round"])
             if best is None or step > best:
                 best = step

@@ -381,14 +381,6 @@ class Fragment:
     def all_gids(self) -> np.ndarray:
         return np.concatenate([self.inner_gids(), self.outer_gids])
 
-    def lids_of(self, gids: np.ndarray) -> np.ndarray:
-        """gid -> local index (inner: gid-lo; outer: searchsorted)."""
-        out = np.empty(len(gids), dtype=np.int64)
-        m = (gids >= self.lo) & (gids < self.hi)
-        out[m] = gids[m] - self.lo
-        out[~m] = self.ivnum + np.searchsorted(self.outer_gids, gids[~m])
-        return out
-
     def owner_of(self, gids: np.ndarray) -> np.ndarray:
         return part_of(gids, self.starts)
 
@@ -412,13 +404,6 @@ class Fragment:
         SyncInnerVertices analog): slice inner `values` per requester."""
         return {p: values[lids] for p, lids in self.export_lids.items()}
 
-    def fill_outer(self, buf: np.ndarray, received: dict[int, np.ndarray]):
-        """Place per-owner received arrays into the outer segment of
-        ``buf`` (len tvnum), matching mirror_requests order."""
-        for q, vals in received.items():
-            a, b = self.mirror_bounds[q], self.mirror_bounds[q + 1]
-            buf[self.ivnum + a: self.ivnum + b] = vals
-
     # ---------------------------------------------------------- kernels
     def segment_sum(self, edge_vals: np.ndarray) -> np.ndarray:
         """Per-inner-vertex sum of per-edge values in CSR order.
@@ -438,16 +423,6 @@ class Fragment:
         # final edge whenever a later vertex had zero edges.)
         sums = np.add.reduceat(edge_vals, starts[valid])
         out[valid] = sums
-        return out
-
-    def segment_min(self, edge_vals: np.ndarray, empty_fill) -> np.ndarray:
-        out = np.full(self.ivnum, empty_fill, dtype=edge_vals.dtype)
-        if len(edge_vals) == 0:
-            return out
-        starts = self.indptr[:-1]
-        valid = self.indptr[1:] > starts
-        mins = np.minimum.reduceat(edge_vals, starts[valid])
-        out[valid] = mins
         return out
 
     def push_min(self, buf: np.ndarray, edge_vals: np.ndarray):

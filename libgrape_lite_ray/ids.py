@@ -29,8 +29,8 @@ __all__ = [
 
 
 def weighted_partition_starts(
-    sample_gids: np.ndarray,
-    sample_weights: np.ndarray,
+    bucket_ends: np.ndarray,
+    bucket_weights: np.ndarray,
     num_vertices: int,
     num_partitions: int,
 ) -> np.ndarray:
@@ -38,28 +38,25 @@ def weighted_partition_starts(
     grape/worker/rebalancer.h:99-196: split so cumulative
     degree+vertex_factor is balanced).
 
-    ``sample_gids``/``sample_weights`` are checkpoints of the weight
-    distribution: ``sample_weights[i]`` is the weight of the gids up to
-    and including ``sample_gids[i]`` since the previous checkpoint.
-    Boundaries are chosen so each partition holds ~1/P of total weight,
-    snapped to checkpoint gids.  Already-ascending int64/float64 inputs
-    are used without a copy (a 2**20-bucket histogram stays ~8 MB).
+    ``bucket_ends`` (ascending) is the last gid of each bucket of a
+    weight histogram over the gid range, and ``bucket_weights[i]`` the
+    weight of the gids in bucket i.  Boundaries are chosen so each
+    partition holds ~1/P of total weight, snapped to bucket ends.
+    int64/float64 inputs are used without a copy (a 2**20-bucket
+    histogram stays ~8 MB).
     """
-    gids = np.asarray(sample_gids, dtype=np.int64)
-    w = np.asarray(sample_weights, dtype=np.float64)
-    if len(gids) > 1 and not (gids[1:] >= gids[:-1]).all():
-        order = np.argsort(gids, kind="stable")
-        gids, w = gids[order], w[order]
+    ends = np.asarray(bucket_ends, dtype=np.int64)
+    w = np.asarray(bucket_weights, dtype=np.float64)
     cum = np.cumsum(w)
     total = cum[-1] if len(cum) else 0.0
     starts = [0]
     for p in range(1, num_partitions):
         target = total * p / num_partitions
         i = int(np.searchsorted(cum, target, side="left"))
-        if i >= len(gids):
+        if i >= len(ends):
             b = num_vertices
         else:
-            b = int(gids[i]) + 1
+            b = int(ends[i]) + 1
         b = max(b, starts[-1])  # keep monotone; empty partitions allowed
         starts.append(min(b, num_vertices))
     starts.append(num_vertices)

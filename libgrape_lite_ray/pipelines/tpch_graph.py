@@ -175,9 +175,3 @@ def run_graph_query(sf_dir: str, program: str, params: dict | None = None,
         eng.shutdown()
     tbl = attach_oids(tbl, meta)
     return tbl.drop_columns(["gid"])
-
-
-def min_vertex(sf_dir: str) -> int:
-    """Smallest vertex id in the derived graph (deterministic BFS/SSSP
-    source; gid of the min oid is 0 by construction)."""
-    return 0  # gid 0 == smallest oid; callers using gids can use 0 directly

@@ -1,7 +1,8 @@
 """String-oid dictionary build: the one-task small-dictionary path and
-the distributed sort + join path must produce the same graph, and the
-one-task path's partition starts are the exact per-vertex ``deg + 1``
-split."""
+the distributed sort + join path must produce the same graph with the
+same partition starts, the exact per-vertex ``deg + 1`` split; with
+fewer histogram buckets than vertices every build path snaps to the
+same bucket ends."""
 
 import os
 
@@ -66,6 +67,7 @@ def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case):
     a, b = small[0], large
     assert a.num_vertices == b.num_vertices
     assert a.num_partitions == b.num_partitions
+    assert np.array_equal(a.starts, b.starts)
     assert _vertices(a).equals(_vertices(b))
     got = _edge_multiset(a)
     assert np.array_equal(got, _edge_multiset(b))
@@ -79,3 +81,35 @@ def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case):
     deg = (np.bincount(got[:, 0], minlength=V) + np.bincount(got[:, 1], minlength=V))
     want = weighted_partition_starts(np.arange(V), deg + 1, V, a.num_partitions)
     assert np.array_equal(a.starts, want)
+
+
+def test_bucketed_starts_equal_on_every_build_path(ray_session, tmp_work, monkeypatch):
+    """B = 64 < V buckets: dense int oids, and the same graph as
+    zero-padded string oids (gid == int oid) through the one-task and
+    the sort + join dictionary paths, give the same starts."""
+    import ray.data as rd
+
+    import libgrape_lite_ray.graph.build as build
+
+    monkeypatch.setattr(build, "_HIST_BUCKETS", 64)
+    rng = np.random.default_rng(5)
+    V, m = 1000, 6000
+    # a ring keeps every vertex in some edge, zipf sources skew the weight
+    src = np.concatenate([np.arange(V), np.minimum(rng.zipf(1.5, m) - 1, V - 1)])
+    dst = np.concatenate([(np.arange(V) + 1) % V, rng.integers(0, V, m)])
+    dense = build_graph(build.edges_from_numpy(src, dst), os.path.join(tmp_work, "d"), P,
+                        dense_int_oids=True)
+
+    def as_str(a):
+        return pa.array([f"{i:06d}" for i in a], pa.string())
+
+    edges = rd.from_arrow(pa.table({"src": as_str(src), "dst": as_str(dst)}))
+    one_task = build_graph(edges, os.path.join(tmp_work, "s"), P)
+    sort_join = build_graph(edges, os.path.join(tmp_work, "l"), P, broadcast_threshold=0)
+
+    assert dense.num_vertices == one_task.num_vertices == sort_join.num_vertices == V
+    assert np.array_equal(one_task.starts, dense.starts), (one_task.starts, dense.starts)
+    assert np.array_equal(sort_join.starts, dense.starts), (sort_join.starts, dense.starts)
+    # every boundary is a bucket end: the 64 buckets really were used
+    bucket_starts = -(-np.arange(65) * V // 64)
+    assert np.isin(dense.starts, bucket_starts).all(), dense.starts

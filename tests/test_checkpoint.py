@@ -166,3 +166,34 @@ def test_fixed_round_resume_bitwise(ray_session, tmp_work, program):
     assert list(full.columns) == list(resumed.columns)
     for c in full.columns:
         assert np.array_equal(full[c].to_numpy(), resumed[c].to_numpy()), c
+
+
+def test_resume_on_a_different_layout_raises(ray_session, tmp_work):
+    """A checkpoint whose algorithm, P and fingerprint match but whose
+    graph has other partition starts (same vertices, hubs moved to the
+    other end of the gid range) is refused with a clear error naming
+    both layouts, not restored into misaligned fragments."""
+    n = 200
+    src, dst = fixtures.zipf_graph(n=n, m=1500)
+    ckpt = os.path.join(tmp_work, "ckpt-layout")
+
+    def build(name, s, d):
+        return build_graph(edges_from_numpy(s, d), os.path.join(tmp_work, name), 3,
+                           directed=True, fingerprint="ckpt-layout")
+
+    meta = build("a", src, dst)
+    eng = GraphEngine(meta)
+    eng.run("pagerank", {"rounds": 4}, ckpt_dir=ckpt, checkpoint_every=1)
+    eng.shutdown()
+
+    other = build("b", n - 1 - src, n - 1 - dst)
+    assert other.num_vertices == meta.num_vertices
+    assert not np.array_equal(other.starts, meta.starts)
+    eng2 = GraphEngine(other)
+    try:
+        with pytest.raises(ValueError, match="different graph layout") as e:
+            eng2.run("pagerank", {"rounds": 4}, ckpt_dir=ckpt, checkpoint_every=1,
+                     resume=True)
+    finally:
+        eng2.shutdown()
+    assert str(other.starts.tolist()) in str(e.value)

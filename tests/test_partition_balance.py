@@ -83,7 +83,7 @@ def test_dense_int_starts_driver_memory_independent_of_v(ray_session):
     bucket sums, never a V-sized array."""
     import tracemalloc
 
-    from libgrape_lite_ray.graph.build import _dense_int_starts, edges_from_numpy
+    from libgrape_lite_ray.graph.build import _dataset_starts, edges_from_numpy
 
     V, P = 10**9, 4
     src = np.array([0, 5, 123_456_789, 500_000_000, V - 1], np.int64)
@@ -91,7 +91,7 @@ def test_dense_int_starts_driver_memory_independent_of_v(ray_session):
     ds = edges_from_numpy(src, dst).materialize()
     tracemalloc.start()
     try:
-        starts = _dense_int_starts(ds, V, P)
+        starts = _dataset_starts(ds, V, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
