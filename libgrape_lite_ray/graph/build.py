@@ -58,7 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..ids import part_of, weighted_partition_starts
+from ..ids import part_of, split_by_part, weighted_partition_starts
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
 
@@ -615,15 +615,13 @@ def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
             copies.append(pa.table(rev))
         t = pa.concat_tables(copies)
         sg = t.column("src_gid").to_numpy(zero_copy_only=False)
-        parts = part_of(sg, starts_list)
         fid = uuid.uuid4().hex[:12]
         counts = []
-        for p in np.unique(parts):
-            sub = t.filter(pa.array(parts == p))
+        for p, sub in split_by_part(t, part_of(sg, starts_list)):
             pdir = os.path.join(spool, f"part={p}")
             os.makedirs(pdir, exist_ok=True)
-            pq.write_table(sub, os.path.join(pdir, f"{fid}_{int(p)}.parquet"))
-            counts.append((int(p), len(sub)))
+            pq.write_table(sub, os.path.join(pdir, f"{fid}_{p}.parquet"))
+            counts.append((p, len(sub)))
         return pa.table({"part": pa.array([c[0] for c in counts], pa.int32()),
                          "rows": pa.array([c[1] for c in counts], pa.int64())})
 
@@ -699,15 +697,13 @@ def _write_vdata(vdata_ds, meta: GraphMeta, broadcast_threshold: int = 4_000_000
 
     def write_vdata(t: pa.Table) -> pa.Table:
         g = t.column("gid").to_numpy(zero_copy_only=False)
-        parts = part_of(g, starts_list)
         fid = uuid.uuid4().hex[:12]
         counts = []
-        for p in np.unique(parts):
-            sub = t.filter(pa.array(parts == p))
+        for p, sub in split_by_part(t, part_of(g, starts_list)):
             pdir = os.path.join(vroot, f"part={p}")
             os.makedirs(pdir, exist_ok=True)
             pq.write_table(sub, os.path.join(pdir, f"{fid}.parquet"))
-            counts.append(int(p))
+            counts.append(p)
         return pa.table({"part": pa.array(counts, pa.int32())})
 
     gidded.map_batches(write_vdata, batch_format="pyarrow", batch_size=None).materialize()

@@ -92,6 +92,7 @@ class ResultHandle:
         return self.to_arrow().to_pandas()
 
     def to_dataset(self):
+        """One block per partition, no copy: ``sinks.write_dataset_partitioned``'s input."""
         import ray.data as rd
 
         return rd.from_arrow_refs(self.refs)

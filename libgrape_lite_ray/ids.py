@@ -21,9 +21,11 @@ from id bit-encoding.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 __all__ = [
     "part_of",
+    "split_by_part",
     "weighted_partition_starts",
 ]
 
@@ -66,3 +68,10 @@ def weighted_partition_starts(
 def part_of(gids: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Owning partition of each gid (vectorized; starts is int64[P+1])."""
     return (np.searchsorted(starts[1:], gids, side="right")).astype(np.int32)
+
+
+def split_by_part(table: pa.Table, parts: np.ndarray):
+    """Yield ``(p, rows with parts == p)`` for each p present, ascending:
+    the one owner split of the edge spool, vdata spool and result sink."""
+    for p in np.unique(parts):
+        yield int(p), table.filter(pa.array(parts == p))

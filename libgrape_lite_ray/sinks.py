@@ -1,23 +1,17 @@
 """Resumable partitioned Parquet output.
 
 The 100-TB contract: results are written as ONE directory per
-partition (`part=K/`), each committed atomically (tmp file + rename +
-`_SUCCESS` marker), so a re-run of a failed job skips every finished
-partition and re-writes only the missing ones — never one giant file,
-never a half-written partition visible to readers.
+partition (`part=K/`), each committed atomically (hidden tmp file +
+rename + `_SUCCESS` marker), so a re-run of a failed job skips every
+finished partition and re-writes only the missing ones — never one
+giant file, never a half-written partition visible to readers.
 
-Two writers:
-
-- ``write_result_partitioned(result, out_dir)`` — sink for the
-  engine's per-vertex ``ResultHandle`` (one Arrow table ref per
-  fragment, already partitioned by gid range).  Each partition is
-  fetched and written by a Ray task next to the data; the driver only
-  routes refs.
-- ``write_dataset_partitioned(ds, out_dir, partition_cb)`` — generic
-  Dataset sink: ``map_batches`` stage tags each batch with a partition
-  key, then per-partition writes happen inside the tasks.  For plain
-  streaming writes prefer ``ds.write_parquet`` (Ray's native sink);
-  this wrapper exists for the skip-finished resume semantics.
+One writer, ``write_dataset_partitioned(ds, out_dir, num_partitions)``,
+for any Dataset, including an engine ``ResultHandle.to_dataset()``.  It
+is a split → commit over the Dataset's block refs with no Ray Data
+shuffle: one task per block splits its rows by a hash of the first
+column, then one task per unfinished partition concatenates its pieces
+and commits them.  The driver only routes refs.
 
 Reference analog: the result writer surface
 (grape/fragment/immutable_edgecut_fragment.h Output path +
@@ -30,8 +24,13 @@ from __future__ import annotations
 import glob
 import os
 
-__all__ = ["write_result_partitioned", "finished_partitions",
-           "write_dataset_partitioned"]
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from .ids import split_by_part
+
+__all__ = ["finished_partitions", "write_dataset_partitioned"]
 
 _MARKER = "_SUCCESS"
 
@@ -48,25 +47,43 @@ def finished_partitions(out_dir: str) -> set[int]:
     return done
 
 
-def _write_one(table, pdir: str) -> int:
-    """Atomic per-partition commit: data.parquet.tmp -> rename ->
-    marker.  A crash at any point leaves either nothing or a torn tmp
-    (both re-written on resume), never a marked partial."""
-    import pyarrow.parquet as pq
-
+def _write_one(pdir: str, *pieces) -> int:
+    """Atomic per-partition commit of the concatenated pieces:
+    .data.parquet.tmp -> rename -> marker.  A crash at any point leaves
+    either nothing or a torn tmp, never a marked partial.  The tmp is
+    hidden from directory readers, and tmps left by earlier killed
+    commits are removed first."""
+    table = pa.concat_tables(pieces, promote_options="default") if pieces else pa.table({})
     os.makedirs(pdir, exist_ok=True)
-    path = os.path.join(pdir, "data.parquet")
-    tmp = path + f".tmp-{os.getpid()}"
+    for name in os.listdir(pdir):
+        if ".tmp-" in name:
+            os.remove(os.path.join(pdir, name))
+    tmp = os.path.join(pdir, f".data.parquet.tmp-{os.getpid()}")
     pq.write_table(table, tmp)
-    os.replace(tmp, path)
+    os.replace(tmp, os.path.join(pdir, "data.parquet"))
     with open(os.path.join(pdir, _MARKER), "w") as f:
         f.write("ok")
     return table.num_rows
 
 
-def write_result_partitioned(result, out_dir: str, resume: bool = True) -> dict:
-    """Write a ``ResultHandle`` (or any list of Arrow-table refs) as
-    ``out_dir/part=K/data.parquet`` + ``_SUCCESS`` markers.
+def _split_block(t: pa.Table, num_partitions: int):
+    """One block's rows as ``num_partitions`` tables (empty where no row
+    hashes there); the bucket is the pandas hash of the first column."""
+    pieces = [t.schema.empty_table()] * num_partitions
+    if t.num_rows:  # a block emptied by a filter may have no columns
+        first = t.column(0).to_pandas()
+        buckets = pd.util.hash_pandas_object(first, index=False).to_numpy() % num_partitions
+        for p, sub in split_by_part(t, buckets):
+            pieces[p] = sub
+    return pieces if num_partitions > 1 else pieces[0]
+
+
+def write_dataset_partitioned(ds, out_dir: str, num_partitions: int,
+                              resume: bool = True) -> dict:
+    """Write ``ds`` as ``out_dir/part=K/data.parquet`` + ``_SUCCESS``
+    markers for K in ``range(num_partitions)``, routing each row by a
+    hash of its first column.  Every partition is committed, an empty
+    one as an empty file.
 
     ``resume=True`` skips partitions already marked finished — a killed
     run restarts and writes only what is missing.  Returns
@@ -74,61 +91,18 @@ def write_result_partitioned(result, out_dir: str, resume: bool = True) -> dict:
     """
     import ray
 
-    refs = list(getattr(result, "refs", result))
     os.makedirs(out_dir, exist_ok=True)
     done = finished_partitions(out_dir) if resume else set()
-    w = ray.remote(num_cpus=0.5)(_write_one)
-    futs, skipped = {}, 0
-    for p, ref in enumerate(refs):
-        if p in done:
-            skipped += 1
-            continue
-        futs[p] = w.remote(ref, os.path.join(out_dir, f"part={p}"))
-    rows = sum(ray.get(list(futs.values()))) if futs else 0
-    return {"written": len(futs), "skipped": skipped, "rows": rows}
-
-
-def write_dataset_partitioned(ds, out_dir: str, num_partitions: int,
-                              key_fn=None, resume: bool = True) -> dict:
-    """Generic resumable Dataset sink: route rows to ``num_partitions``
-    buckets (``key_fn(batch) -> int64 array`` of bucket ids; default =
-    hash of the first column), write each bucket as an atomically
-    committed ``part=K`` directory, skipping finished ones on resume.
-
-    The bucket routing is a distributed ``groupby`` (one all-to-all);
-    each group's write happens inside its map task — the driver never
-    sees data.
-    """
-    import numpy as np
-    import pandas as pd
-
-    os.makedirs(out_dir, exist_ok=True)
-    done = finished_partitions(out_dir) if resume else set()
-
-    def _tag(b: "pd.DataFrame") -> "pd.DataFrame":
-        if key_fn is not None:
-            k = np.asarray(key_fn(b), np.int64)
-        else:
-            first = b[b.columns[0]]
-            k = pd.util.hash_pandas_object(first, index=False).to_numpy()
-        b = b.copy()
-        b["_bucket"] = (k % num_partitions).astype(np.int64)
-        return b
-
-    def _write_group(g: "pd.DataFrame") -> "pd.DataFrame":
-        import pyarrow as pa
-
-        p = int(g["_bucket"].iloc[0])
-        if p in done:
-            return pd.DataFrame({"part": [p], "rows": [0], "skipped": [True]})
-        rows = _write_one(pa.Table.from_pandas(g.drop(columns=["_bucket"]),
-                                               preserve_index=False),
-                          os.path.join(out_dir, f"part={p}"))
-        return pd.DataFrame({"part": [p], "rows": [rows], "skipped": [False]})
-
-    stats = (ds.map_batches(_tag, batch_format="pandas")
-             .groupby("_bucket").map_groups(_write_group, batch_format="pandas")
-             .to_pandas())
-    return {"written": int((~stats["skipped"]).sum()),
-            "skipped": int(stats["skipped"].sum()),
-            "rows": int(stats["rows"].sum())}
+    todo = [p for p in range(num_partitions) if p not in done]
+    rows = 0
+    if todo:
+        # 1-CPU tasks: half-CPU ones make Ray start and kill extra workers on every call
+        split = ray.remote(num_returns=num_partitions)(_split_block)
+        pieces = [split.remote(ref, num_partitions) for ref in ds.to_arrow_refs()]
+        if num_partitions == 1:  # one return value comes back as a bare ref
+            pieces = [[r] for r in pieces]
+        commit = ray.remote(_write_one)
+        rows = sum(ray.get([
+            commit.remote(os.path.join(out_dir, f"part={p}"), *(b[p] for b in pieces))
+            for p in todo]))
+    return {"written": len(todo), "skipped": num_partitions - len(todo), "rows": rows}
