@@ -788,7 +788,7 @@ class GraphEngine:
             round (70ms vs 600ms for a 435MB/round all-to-all at P=32).
             Safe because every consumer finished inside the barrier and
             no program retains views into incoming bundles past
-            update() (audited; LCC copies via translate/asarray-cast).
+            update() (audited; LCC concatenates what it keeps).
             """
             refs = [o["ref"] for o in outs if o.get("ref") is not None]
             if not refs:

@@ -1,20 +1,23 @@
-"""LCC / triangle counting — exact semantics of
-examples/analytical_apps/lcc/lcc.h:50-246 in three supersteps:
+"""LCC / triangle counting: exact semantics of
+examples/analytical_apps/lcc/lcc.h:50-246 in four supersteps:
 
-1. degree exchange (mirror sync of undirected degree);
-2. oriented-adjacency exchange: every vertex keeps neighbors with
-   (deg, gid) strictly smaller than its own (lcc.h:108-121 orientation
-   — the skew guard that bounds per-vertex fanout on zipfian graphs),
-   owners ship the oriented lists of their exported mirrors
-   (SendMsgThroughOEdges of msg_vec, lcc.h:122-124); then wedge
-   expansion + membership test counts triangles, attributing +1 to all
-   three corners (lcc.h:154-186);
-3. mirror triangle-count sum-sync back to owners
+1. degree exchange (mirror sync of undirected degree), then
+   orientation: every vertex keeps the neighbors with a larger
+   (deg, gid) than its own (lcc.h:108-121, the skew guard that bounds
+   per-vertex fanout on zipfian graphs);
+2. each partition requests the oriented lists of the mirrors that its
+   own oriented lists name;
+3. owners ship those lists (SendMsgThroughOEdges of msg_vec,
+   lcc.h:122-124); the requester counts the wedges that close,
+   attributing +1 to all three corners (lcc.h:154-186);
+4. mirror triangle-count sum-sync back to owners
    (SyncStateOnOuterVertex, lcc.h:188-199), then
    ``lcc = 2*t / (deg*(deg-1))`` (lcc.h:222-231).
 
 Run on a graph built with ``symmetrize=True`` (undirected).  The wedge
-expansion is fully vectorized and chunked to bound memory.
+count works in gid space: a block's membership set is its oriented
+(v, w gid) pairs, which plays the part of the reference's bitmap of
+N+(v), probed through an exact hashed filter (see ``_count_triangles``).
 """
 
 from __future__ import annotations
@@ -23,27 +26,33 @@ import numpy as np
 
 from .base import VertexProgram
 
-# Wedge blocks keep every per-wedge temporary (and the block's
-# membership key array — see _count_triangles) cache-resident AND let
+# Wedge blocks keep every per-wedge temporary cache-resident AND let
 # the allocator reuse the same heap pages across blocks (first-touch
-# page faults are expensive — especially under lazily-backed VM
+# page faults are expensive, especially under lazily-backed VM
 # memory, where an 8M-wedge chunk measured 13x slower than small
 # chunks for identical work).  Python per-block overhead is ~10us.
 _BLOCK_WEDGES = 524_288
+# The membership filter: 2**20 one-byte slots (1 MiB, cache-friendly).
+_FILTER_BITS = 20
+_FIB = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slot(keys: np.ndarray) -> np.ndarray:
+    """Filter slot of each nonnegative int64 key: the top
+    ``_FILTER_BITS`` bits of a multiplicative (Fibonacci) hash."""
+    h = keys.view(np.uint64) * _FIB
+    h >>= np.uint64(64 - _FILTER_BITS)
+    return h.view(np.int64)
 
 
 def _gather_segments(data: np.ndarray, indptr: np.ndarray, ids: np.ndarray):
     """Concatenate data[indptr[i]:indptr[i+1]] for i in ids; returns
     (gathered, lens)."""
-    lens = (indptr[ids + 1] - indptr[ids]).astype(np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return data[:0], lens
-    starts = np.repeat(indptr[ids], lens)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(lens)[:-1]]), lens
-    )
-    return data[starts + offs], lens
+    lens = indptr[ids + 1] - indptr[ids]
+    cum = np.cumsum(lens)
+    pos = np.repeat(indptr[ids] - (cum - lens), lens)
+    pos += np.arange(len(pos))
+    return data.take(pos), lens
 
 
 class LCC(VertexProgram):
@@ -145,182 +154,127 @@ class LCC(VertexProgram):
         return 0
 
     def _orient(self):
-        """Keep neighbors with LARGER (deg, gid) — lcc.h:108-121's
-        orientation.  This caps every oriented list at O(sqrt(m))
-        (a hub keeps only its few larger-degree neighbors), which bounds
-        wedge volume per vertex AND per partition on zipfian web graphs;
-        the keep-smaller direction let mid-degree vertices expand hub
-        lists and produced minutes-long wedge phases.
+        """Keep neighbors with LARGER (deg, gid): lcc.h:108-121's
+        orientation.  It caps every oriented list at O(sqrt(m)) (a hub
+        keeps only its few larger-degree neighbors), which bounds the
+        wedge volume per vertex and per partition on zipfian web graphs.
 
-        Processed in bounded chunks: the E-sized gather/compare
-        temporaries then reuse the same heap pages instead of
-        first-touch-faulting ~10 fresh E-sized arrays (the faults, not
-        the compute, dominated this stage)."""
+        One int64 rank per local vertex, ``deg * V + gid``, orders
+        vertices exactly as the (deg, gid) pair does (0 <= gid < V), so
+        the test is one compare per edge.  The same radix V packs the
+        membership keys of ``_count_triangles``; both packings stay
+        below ``max(deg + 1, ivnum) * V``, checked once here."""
         f = self.frag
-        E = f.num_local_edges
-        CH = 1 << 18
-        keep = np.empty(E, dtype=bool)
-        for s in range(0, E, CH):
-            e = min(s + CH, E)
-            idx = f.indices[s:e]
-            src = f.src_of_edge[s:e]
-            nd = self.deg_full[idx]
-            vd = self.deg_full[src]
-            inner = idx < f.ivnum
-            nbr_gid = np.empty(e - s, dtype=np.int64)
-            nbr_gid[inner] = f.lo + idx[inner]
-            out_m = ~inner
-            if out_m.any():
-                nbr_gid[out_m] = f.outer_gids[idx[out_m] - f.ivnum]
-            v_gid = f.lo + src
-            keep[s:e] = (nd > vd) | ((nd == vd) & (nbr_gid > v_gid))
-        o_src = f.src_of_edge[keep]
-        lids = f.indices[keep].astype(np.int32)
-        self.o_nbr_local_inner = lids
-        inner = lids < f.ivnum
-        gidn = np.empty(len(lids), dtype=np.int64)
-        gidn[inner] = f.lo + lids[inner]
-        out_m = ~inner
-        if out_m.any():
-            gidn[out_m] = f.outer_gids[lids[out_m] - f.ivnum]
-        self.o_nbr_gid_inner = gidn
-        lens = np.bincount(o_src, minlength=f.ivnum)
+        V = int(f.starts[-1])
+        if max(int(self.deg_full.max(initial=0)) + 1, f.ivnum) * V >= 2**63:
+            raise OverflowError(f"LCC packs (deg, gid) in int64; V = {V} is too large")
+        gid = f.all_gids()
+        rank = self.deg_full * V + gid
+        keep = rank[f.indices] > rank[f.src_of_edge]
+        self.o_nbr_local_inner = f.indices[keep].astype(np.int32)
+        self.o_nbr_gid_inner = gid[self.o_nbr_local_inner]
+        lens = np.bincount(f.src_of_edge[keep], minlength=f.ivnum)
         self.o_indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
 
     def _count_triangles(self, msgs):
-        """Wedge counting grouped by the wedge's INNER corner v, with
-        per-block in-cache membership probes.
+        """Count the wedges (v, u, w) that close, in gid space, grouped
+        by the wedge's inner corner v (reference semantics:
+        lcc.h:154-186).
 
-        A wedge (v, u, w) needs the oriented edges (v, u) and (u, w)
-        and closes a triangle iff (v, w) is an oriented inner edge.
-        The previous kernel enumerated wedges by adjacency ENTRY (u, w)
-        and binary-searched every wedge's (v, w) key in the partition's
-        FULL sorted oriented-edge array — ~22 DRAM-missing probe steps
-        per wedge dominated the stage (~260ns/wedge measured).  This
-        kernel instead walks v in blocks of ~512k wedges: the block's
-        own oriented edges double as its membership key array, which is
-        block-sized (L1/L2-resident), so each probe costs a dozen
-        in-cache steps — 3x end-to-end on a 10.4M-wedge web fragment,
-        bit-identical counts.  Per-wedge u is not materialized; a hit's
-        entry is recovered by a searchsorted over cumulative expansion
-        lengths, and v/w come from the probe key itself.
+        A wedge needs the oriented edges (v, u) and (u, w) and closes a
+        triangle iff (v, w) is an oriented edge of v.  The probe
+        adjacency of u is its own oriented gid list when u is inner,
+        and the received list when u is a mirror: ``o_nbr_gid_inner``
+        followed by the received w gids in arrival order, with no
+        per-entry translation.  The received u column arrives grouped
+        and ascending (owners ship in requested order, which is gid
+        order; bundles are applied in source-partition order; outer lids
+        are in gid order), so each distinct u gets its outer lid from
+        one ``searchsorted`` and its list length from its run length.
 
-        Adjacency-by-u is unified across sources: inner u -> this
-        partition's own oriented CSR (o_indptr/o_nbr), outer u -> the
-        received mirror lists, translated once to local ids (non-local
-        w dropped: the membership edge (v, w) requires w local, so such
-        entries can never close a triangle here) and grouped by u with
-        one stable radix argsort.  Reference semantics: lcc.h:154-186.
+        v is walked in blocks of about ``_BLOCK_WEDGES`` wedges; a block
+        takes at least one vertex, so a hub with more wedges than that
+        overruns the budget on its own.  A block's membership set
+        is its oriented pairs packed as ``(v - v0) * V + w_gid``; every
+        wedge probes ``(v - v0) * V + w_gid`` for its far corner w.
+        A 1 MiB byte table, indexed by a multiplicative hash of the key,
+        marks the slots of the members.  A probe equal to a member hashes
+        to a marked slot, so the filter has no false negatives; the few
+        candidates it passes are confirmed by an exact ``searchsorted``
+        against the sorted member keys, so no false positive is counted.
+        The counts are therefore exact.  A w that is not local to this
+        partition is never a member and is rejected like any other miss.
+
+        Hits (v lid, u lid, w gid) are collected over blocks and added
+        by ``_add_hits``.
         """
         f = self.frag
-        tv = f.tvnum
-        novnum = len(f.outer_gids)
-        o_nbr = self.o_nbr_local_inner
-        o_indptr = self.o_indptr
-        E = len(o_nbr)
-        tric = self.tricnt
-        n_wedges = 0
-
-        # ---- received mirror lists -> by-u adjacency over outer lids
-        ru_parts, rw_parts = [], []
-        for m in msgs:
-            u_gids = np.asarray(m[0], dtype=np.int64)
-            w_gids = np.asarray(m[1], dtype=np.int64)
-            if not len(u_gids):
-                continue
-            # u is one of OUR outer vertices (we requested it): rank in
-            # the sorted outer_gids IS its local id - ivnum
-            u_loc = np.searchsorted(f.outer_gids, u_gids) + f.ivnum
-            # w: keep local only (inner or a known outer)
-            w_inner = (w_gids >= f.lo) & (w_gids < f.hi)
-            w_loc = np.empty(len(w_gids), dtype=np.int64)
-            w_loc[w_inner] = w_gids[w_inner] - f.lo
-            om = ~w_inner
-            keep = w_inner.copy()
-            if novnum and om.any():
-                pos = np.minimum(np.searchsorted(f.outer_gids, w_gids[om]),
-                                 novnum - 1)
-                keep[om] = f.outer_gids[pos] == w_gids[om]
-                w_loc[om] = f.ivnum + pos
-            if keep.any():
-                ru_parts.append(u_loc[keep].astype(np.int32))
-                rw_parts.append(w_loc[keep].astype(np.int32))
-        if ru_parts:
-            ru = np.concatenate(ru_parts)
-            rw = np.concatenate(rw_parts)
-            order = np.argsort(ru, kind="stable")
-            rw = rw[order]
-            rcnt = np.bincount(ru.astype(np.int64) - f.ivnum, minlength=tv - f.ivnum)
-        else:
-            rw = np.empty(0, np.int32)
-            rcnt = np.zeros(max(tv - f.ivnum, 0), np.int64)
-        del ru_parts, rw_parts
-
-        # unified adjacency: adj_w[adj_indptr[u]:adj_indptr[u+1]] for any
-        # local u (inner -> own oriented list, outer -> received list)
-        adj_w = np.concatenate([o_nbr, rw]) if len(rw) else o_nbr
-        adj_indptr = np.empty(tv + 1, dtype=np.int64)
-        adj_indptr[: f.ivnum + 1] = o_indptr
-        if tv > f.ivnum:
-            adj_indptr[f.ivnum + 1:] = E + np.cumsum(rcnt)
-        udeg = np.diff(adj_indptr)
-
-        if E:
-            odeg = np.diff(o_indptr)
-            # wedges per v drive the block bounds
-            wpe = udeg[o_nbr]
-            idx = np.minimum(o_indptr[:-1], E - 1)
-            wpv = np.add.reduceat(wpe, idx)
-            wpv[odeg == 0] = 0
-            cum_wpv = np.cumsum(wpv)
-            n_wedges = int(cum_wpv[-1])
-
-        if E and n_wedges:
-            v0 = 0
-            taken = 0
-            while v0 < f.ivnum:
-                v1 = int(np.searchsorted(cum_wpv, taken + _BLOCK_WEDGES)) + 1
-                v1 = min(v1, f.ivnum)
-                taken = int(cum_wpv[v1 - 1])
-                e0, e1 = int(o_indptr[v0]), int(o_indptr[v1])
-                if e0 == e1:
-                    v0 = v1
-                    continue
-                u_ent = o_nbr[e0:e1]
-                odeg_b = odeg[v0:v1]
-                # per-edge probe base (v - v0) * tv, reused for the
-                # membership keys — v itself is never materialized
-                vbase = np.repeat(
-                    np.arange(v0, v1, dtype=np.int64) - v0, odeg_b) * tv
-                bkey = vbase + u_ent
-                bkey.sort()
-                lens = udeg[u_ent]
-                km = lens > 0
-                u_k = u_ent[km]
-                if len(u_k):
-                    lens_k = lens[km]
-                    vbase_k = vbase[km]
-                    cum_k = np.cumsum(lens_k)
-                    total = int(cum_k[-1])
-                    starts = adj_indptr[u_k]
-                    pos = np.repeat(
-                        starts - np.concatenate([[0], cum_k[:-1]]), lens_k
-                    ) + np.arange(total, dtype=np.int64)
-                    w_w = adj_w[pos]
-                    probe = np.repeat(vbase_k, lens_k)
-                    probe += w_w
-                    ins = np.minimum(np.searchsorted(bkey, probe),
-                                     len(bkey) - 1)
-                    member = bkey[ins] == probe
-                    hit = np.flatnonzero(member)
-                    if len(hit):
-                        ent = np.searchsorted(cum_k, hit, side="right")
-                        v_hit = probe[hit] // tv + v0
-                        w_hit = w_w[hit].astype(np.int64)
-                        hits = np.concatenate(
-                            [v_hit, u_k[ent].astype(np.int64), w_hit])
-                        tric += np.bincount(hits, minlength=tv)
+        V = int(f.starts[-1])
+        o_lid, o_gid, o_indptr = self.o_nbr_local_inner, self.o_nbr_gid_inner, self.o_indptr
+        ru = np.concatenate([np.empty(0, np.int64)] + [np.asarray(m[0], np.int64) for m in msgs])
+        udeg = np.zeros(f.tvnum, np.int64)
+        udeg[: f.ivnum] = np.diff(o_indptr)
+        if len(ru):
+            step = np.diff(ru)
+            if step.min(initial=0) < 0:
+                raise RuntimeError("LCC: received u column is not grouped ascending")
+            first = np.flatnonzero(np.concatenate([[True], step > 0]))
+            udeg[f.ivnum + np.searchsorted(f.outer_gids, ru[first])] = np.diff(
+                np.append(first, len(ru)))
+        adj = np.concatenate([o_gid] + [np.asarray(m[1], np.int64) for m in msgs])
+        adj_indptr = np.concatenate([[0], np.cumsum(udeg)])
+        # cumulative wedges over oriented edges; a block's count is a difference
+        cw = np.concatenate([[0], np.cumsum(udeg[o_lid])])
+        cum_wpv = cw[o_indptr[1:]]
+        table = np.zeros(1 << _FILTER_BITS, np.uint8)
+        hits, pending = [[], [], []], 0
+        v0 = 0
+        while v0 < f.ivnum:
+            v1 = min(int(np.searchsorted(cum_wpv, cw[o_indptr[v0]] + _BLOCK_WEDGES)) + 1,
+                     f.ivnum)
+            e0, e1 = int(o_indptr[v0]), int(o_indptr[v1])
+            if cw[e1] == cw[e0]:
                 v0 = v1
+                continue
+            u = o_lid[e0:e1]
+            vbase = np.repeat(np.arange(v1 - v0, dtype=np.int64) * V,
+                              np.diff(o_indptr[v0:v1 + 1]))
+            bkey = vbase + o_gid[e0:e1]
+            bkey.sort()
+            slots = _slot(bkey)
+            table[slots] = 1
+            w, lens = _gather_segments(adj, adj_indptr, u)
+            cum = np.cumsum(lens)
+            probe = np.repeat(vbase, lens)
+            probe += w
+            cand = np.flatnonzero(table.take(_slot(probe)))
+            pc = probe[cand]
+            ins = np.minimum(np.searchsorted(bkey, pc), len(bkey) - 1)
+            hit = cand[bkey.take(ins) == pc]
+            hits[0].append(probe[hit] // V + v0)
+            hits[1].append(u[np.searchsorted(cum, hit, side="right")])
+            hits[2].append(w[hit])
+            table[slots] = 0
+            v0 = v1
+            pending += len(hit)
+            if pending >= f.tvnum:
+                self._add_hits(hits)
+                hits, pending = [[], [], []], 0
+        self._add_hits(hits)
+
+    def _add_hits(self, hits):
+        """+1 to all three corners of the collected hits (v lid, u lid,
+        w gid) in one ``bincount``.  Called when the hits reach tvnum,
+        which amortizes the tvnum-sized count and bounds their memory
+        on triangle-dense graphs, and once at the end."""
+        f = self.frag
+        if not hits[0]:
+            return
+        w = np.concatenate(hits[2])
+        w_lid = np.where((w >= f.lo) & (w < f.hi), w - f.lo,
+                         f.ivnum + np.searchsorted(f.outer_gids, w))
+        self.tricnt += np.bincount(
+            np.concatenate(hits[0] + hits[1] + [w_lid]), minlength=f.tvnum)
 
     def output(self):
         return {

@@ -34,7 +34,11 @@ def exact_quantiles(ds, col: str, qs: list[float]):
     s = ds.select_columns([col]).sort(col).materialize()
     refs = s.to_arrow_refs()
 
-    @ray.remote(num_cpus=0.25)
+    # whole-CPU tasks: at 0.25 CPU, 16 blocks ran 16 at once, more than
+    # the idle workers Ray keeps, so every call started and killed
+    # worker processes (16-20 per 10 calls, ~7x the machine CPU of
+    # 1-CPU tasks, which started none)
+    @ray.remote(num_cpus=1)
     def _nrows(ref):
         return ref.num_rows
 

@@ -1,0 +1,97 @@
+#!/usr/bin/env python
+"""Kernel microbenchmark: run one vertex program over a built graph's
+fragments in this process, with no Ray actors and no object store, and
+print the CPU seconds each partition's ``update`` takes per round.
+
+This sizes a program's superstep kernels apart from the exchange, the
+driver barrier and actor scheduling.  Every partition gets its own
+in-process ``FragmentHost``; the exchange bundles go from host to host
+as local dicts, in ascending source-partition order, exactly as the
+engine delivers them.  Programs that read vertex data columns are not
+supported (no mirror vdata sync runs).
+
+Usage:
+    python scripts/kernel_bench.py GRAPH_DIR PROGRAM [--params JSON] [--reps N]
+
+``GRAPH_DIR`` is a directory written by ``build_graph`` (it holds
+``graph_meta.json``); run ``lcc`` on one built with ``symmetrize=True``.
+Prints one JSON line per rep: ``update_cpu_s[r][p]`` is partition p's
+update CPU seconds in round r+1, ``pack_cpu_s[r]`` the CPU seconds of
+packing round r+1's exchange over all partitions.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+
+from libgrape_lite_ray.graph.build import GraphMeta  # noqa: E402
+from libgrape_lite_ray.graph.driver import FragmentHost, _reduce_globals  # noqa: E402
+
+
+def load_hosts(meta: GraphMeta) -> list[FragmentHost]:
+    """One FragmentHost per partition, all on host 0 (so no payload is
+    ever ``ray.put``), with the mirror export lists registered."""
+    P = meta.num_partitions
+    hosts = [FragmentHost(0, [p], np.zeros(P, np.int64), meta.work_dir,
+                          meta.starts.tolist(), meta.has_weights)
+             for p in range(P)]
+    for p, h in enumerate(hosts):
+        for owner, gids in h.frags[p].mirror_requests().items():
+            hosts[owner].frags[owner].register_requests({p: gids})
+    for h in hosts:
+        h.join_prewarm()
+    return hosts
+
+
+def run_once(hosts: list[FragmentHost], program: str, params: dict,
+             max_rounds: int) -> dict:
+    glob = _reduce_globals([h.init_program(program, params) for h in hosts])
+    update_cpu, pack_cpu = [], []
+    for r in range(1, max_rounds + 1):
+        t0 = time.process_time()
+        for h in hosts:
+            h._produce_payload(r)
+        pack_cpu.append(round(time.process_time() - t0, 4))
+        pairs = sorted(((q, b) for h in hosts
+                        for pl in [h._own_payload.pop(r)]
+                        for q, b in zip(pl["parts"], pl["bundles"])),
+                       key=lambda qb: qb[0])
+        active, row = 0, []
+        for p, h in enumerate(hosts):
+            if glob:
+                h.programs[p].set_globals(glob)
+            t0 = time.process_time()
+            active += h._apply_one(p, r, pairs)
+            row.append(round(time.process_time() - t0, 4))
+        update_cpu.append(row)
+        glob = _reduce_globals([h._harvest_globals() for h in hosts])
+        if active == 0:
+            break
+    return {"program": program, "partitions": len(hosts), "rounds": len(update_cpu),
+            "update_cpu_s": update_cpu, "pack_cpu_s": pack_cpu,
+            "update_total_cpu_s": round(sum(map(sum, update_cpu)), 4)}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("graph_dir")
+    ap.add_argument("program")
+    ap.add_argument("--params", default="{}", help="program parameters as JSON")
+    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--max-rounds", type=int, default=100)
+    a = ap.parse_args()
+    hosts = load_hosts(GraphMeta.load(a.graph_dir))
+    for _ in range(a.reps):
+        print(json.dumps(run_once(hosts, a.program, json.loads(a.params), a.max_rounds)),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()
