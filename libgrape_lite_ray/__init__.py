@@ -30,15 +30,13 @@ __version__ = "0.1.0"
 # NOT applied at import time in user-owned processes — that would
 # ratchet RSS to high-water mark in every process that merely imports
 # the library (user drivers, test runners).  It IS applied at import
-# inside RAY WORKER processes (detected via RAY_RAYLET_PID): a worker
-# importing this library is about to run our batch UDFs, whose per-
-# batch temporaries are exactly the allocation churn the tuning exists
-# for — and map_batches lambdas have no stable per-process init hook.
-# Driver-side entry points (bench, FragmentHost init) call it
-# explicitly.
-import os as _os
+# inside RAY WORKER processes (memtune.in_ray_worker): a worker
+# importing this library is about to run our batch UDFs or host
+# fragments, whose per-batch and per-round temporaries are exactly the
+# allocation churn the tuning exists for — and map_batches lambdas have
+# no stable per-process init hook.  A user process that wants it
+# (bench.py, scripts/kernel_bench.py) calls it explicitly.
+from . import memtune as _memtune
 
-if _os.environ.get("RAY_RAYLET_PID"):
-    from .memtune import keep_heap_resident as _khr
-
-    _khr()
+if _memtune.in_ray_worker():
+    _memtune.keep_heap_resident()

@@ -7,7 +7,7 @@ basic_fragment_loader.h:83-364): instead of MPI shuffles we use
 
   1. one pass that emits per-block pre-deduped (oid, degree) endpoint
      partials and pins them; their row count bounds V,
-  2. when that bound is within ``broadcast_threshold``: ONE Ray task
+  2. when that bound is within ``_BROADCAST_VERTICES``: ONE Ray task
      merges the partials into the vertex dictionary (gid = rank in oid
      order, so gid order == oid order; see ids.py) and writes it — the
      reference likewise gathers its vertex map in one step,
@@ -18,9 +18,9 @@ basic_fragment_loader.h:83-364): instead of MPI shuffles we use
      weight, the same on every path (``_gid_histogram`` ->
      ``_histogram_starts``): the exact per-vertex split up to 2**20
      vertices, boundaries snapped to bucket ends above,
-  4. a vectorized oid->gid translation (`pc.index_in` against the
-     broadcast sorted-oid dictionary, passed by object ref, or two
-     Dataset.joins at scale),
+  4. ONE oid->gid translate (``_to_gids``, shared with vertex data):
+     `pc.index_in` against the broadcast sorted-oid dictionary, passed
+     by object ref, or one Dataset.join per oid column at scale,
   5. a ROUTE-ONLY partitioned Parquet "spool": a map-side split by
      owner, so each fragment actor reads exactly its own edges
      (basic_fragment_loader.h:155-172 edge routing analog) and no
@@ -86,11 +86,58 @@ class GraphMeta:
     def vertices_path(self) -> str:
         return os.path.join(self.work_dir, "vertices")
 
-    def oids_by_gid(self) -> pa.Array:
-        """The dictionary's oids in gid order (= oid order): position
-        is the gid, the ``value_set`` every oid->gid translate uses."""
-        vt = pq.read_table(self.vertices_path, columns=["oid", "gid"])
-        return vt.column("oid").take(pc.sort_indices(vt.column("gid"))).combine_chunks()
+    def _read_dictionary(self, flt) -> pa.Table:
+        """The ``(oid, gid)`` rows of ``vertices/`` matching ``flt``.
+        The dictionary is oid-sorted, so gid-sorted, and written in
+        ``_DICT_ROW_GROUP``-row groups whose min/max statistics are
+        disjoint key ranges: groups that cannot match are skipped, and
+        the rest are scanned one at a time, so memory follows the rows
+        kept, not V."""
+        import pyarrow.dataset as pds
+
+        return pds.dataset(self.vertices_path, format="parquet").to_table(
+            columns=["oid", "gid"], filter=flt, use_threads=False,
+            fragment_scan_options=pds.ParquetFragmentScanOptions(pre_buffer=False))
+
+    def _oid_range(self, lo: int, hi: int) -> pa.Array:
+        """The oids of gids ``lo..hi`` (inclusive) in gid order: a
+        sorted dictionary's position ``i`` holds gid ``lo + i``."""
+        t = self._read_dictionary((pc.field("gid") >= lo) & (pc.field("gid") <= hi))
+        if t.num_rows != hi - lo + 1:
+            raise ValueError(f"vertex dictionary {self.vertices_path} holds {t.num_rows} "
+                             f"rows for the {hi - lo + 1} gids {lo}..{hi}")
+        return t.sort_by("gid").column("oid").combine_chunks()
+
+    def _in_universe(self, ids, what: str) -> np.ndarray:
+        g = np.asarray(ids, dtype=np.int64)
+        if len(g) and (g.min() < 0 or g.max() >= self.num_vertices):
+            raise ValueError(f"{what} outside the vertex universe [0, {self.num_vertices})")
+        return g
+
+    def oids_of(self, gids) -> pa.Array:
+        """gid -> oid for any gids, reading only the dictionary rows of
+        ``[min(gids), max(gids)]`` (the global_vertex_map.h:174-209
+        GetOid lookup).  Raises ``ValueError`` on a gid outside ``[0, V)``."""
+        g = self._in_universe(gids, "gid")
+        if self.extra.get("identity_oids"):
+            return pa.array(g)
+        lo, hi = (int(g.min()), int(g.max())) if len(g) else (0, -1)
+        return self._oid_range(lo, hi).take(pa.array(g - lo))
+
+    def gids_of(self, oids) -> np.ndarray:
+        """oid -> gid for any oids, reading only the dictionary rows
+        that hold them (the GetGid lookup).  Raises ``ValueError`` on an
+        oid that is not a vertex."""
+        if self.extra.get("identity_oids"):
+            return self._in_universe(oids, "oid")
+        keys = oids if isinstance(oids, (pa.Array, pa.ChunkedArray)) else pa.array(oids)
+        if not len(keys):
+            return np.empty(0, np.int64)
+        t = self._read_dictionary(pc.field("oid").isin(pc.unique(keys)))
+        idx = pc.index_in(keys, value_set=t.column("oid").combine_chunks())
+        if idx.null_count:
+            raise ValueError("oid not in the vertex dictionary")
+        return t.column("gid").take(idx).to_numpy()
 
     def save(self):
         os.makedirs(self.work_dir, exist_ok=True)
@@ -195,7 +242,6 @@ def build_graph(
     directed: bool = True,
     symmetrize: bool = False,
     weight_col: str | None = None,
-    broadcast_threshold: int = 4_000_000,
     fingerprint: str = "",
     reuse_vertices_from: "GraphMeta | None" = None,
     dense_int_oids: bool = False,
@@ -244,21 +290,20 @@ def build_graph(
         else:
             meta = _build_with_dictionary(
                 edges_ds, tmp_dir, num_partitions, directed, symmetrize,
-                weight_col, broadcast_threshold, fingerprint, vertices_ds)
+                weight_col, fingerprint, vertices_ds)
         if vdata_ds is not None:
-            _write_vdata(vdata_ds, meta, broadcast_threshold)
+            _write_vdata(vdata_ds, meta)
         return meta
 
     return publish_graph_dir(work_dir, build)
 
 
 def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
-                           symmetrize, weight_col, broadcast_threshold,
-                           fingerprint, vertices_ds) -> GraphMeta:
+                           symmetrize, weight_col, fingerprint,
+                           vertices_ds) -> GraphMeta:
     """String (or sparse int) oids: endpoint partials -> vertex
     dictionary + starts -> translate -> route (steps 1-5 above)."""
     import ray
-    import ray.data as rd
 
     edges_ds = _prepare_edges(edges_ds, weight_col)
     # coalesce shattered inputs once: every downstream pass (dict sort,
@@ -291,8 +336,9 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
     n_partials = ep.count()
     if n_partials == 0:
         raise ValueError("empty edge input")
-    if n_partials <= broadcast_threshold:
-        # ---- 2-4. small dictionary: ONE task merges the partials,
+    dict_ref = None
+    if n_partials <= _BROADCAST_VERTICES:
+        # ---- 2-3. small dictionary: ONE task merges the partials,
         # writes vertices/ and computes the starts; the driver keeps
         # only the dictionary's ref for the broadcast translate
         info_ref, dict_ref = ray.remote(num_returns=2)(_merge_dictionary).remote(
@@ -300,101 +346,82 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
             *ep.to_arrow_refs())
         num_vertices, num_partitions, starts = ray.get(info_ref)
         del ep
-        edges_gid = _translate_broadcast(edges_ds, dict_ref)
-        return _spool_and_finish(
-            edges_gid, work_dir, num_vertices, num_partitions, starts,
-            directed, oid_type, bool(weight_col), fingerprint, direction,
-        )
-
-    # ---- 2. large dictionary: ONE global sort of the partials ->
-    # within-block run-length dedup with driver-side reconciliation of
-    # runs that straddle block boundaries.  (A groupby + sort would be
-    # two all-to-all exchanges over the vertex table; the sorted-dedup
-    # needs one.)
-    vds = ep.sort("oid").materialize()
-    del ep
-
-    def _block_uniques(t: pa.Table):
-        """(unique oids ascending, summed weights) for a sorted block."""
-        oid = t.column("oid").combine_chunks()
-        w = t.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
-        eq = pc.equal(oid.slice(1), oid.slice(0, len(oid) - 1))
-        newrun = np.concatenate([[True], ~eq.to_numpy(zero_copy_only=False)])
-        starts_i = np.flatnonzero(newrun)
-        cw = np.concatenate([[0.0], np.cumsum(w)])
-        ends = np.append(starts_i[1:], len(w))
-        return oid.take(pa.array(starts_i)), cw[ends] - cw[starts_i]
-
-    def summarize(t: pa.Table) -> pa.Table:
-        """(first oid, last oid, rows, distinct oids) of a sorted block;
-        an empty block yields no row."""
-        oid = t.column("oid")
-        n = min(len(t), 1)
-        return pa.table({
-            "first_oid": oid.slice(0, n), "last_oid": oid.slice(len(t) - n, n),
-            "n_rows": pa.array([len(t)] * n, pa.int64()),
-            "n_unique": pa.array([pc.count_distinct(oid).as_py()] * n, pa.int64()),
-        })
-
-    summaries = vds.map_batches(summarize, batch_format="pyarrow", batch_size=None).take_all()
-    summaries.sort(key=lambda r: (r["first_oid"], r["last_oid"]))
-    # driver reconciliation: a run spanning two blocks appears as
-    # last_oid(i) == first_oid(i+1) — the later block skips its first
-    plan: dict = {}
-    total = 0
-    prev_last = None
-    for srow in summaries:
-        skip = 1 if (prev_last is not None and srow["first_oid"] == prev_last) else 0
-        key = (srow["first_oid"], srow["last_oid"], srow["n_rows"])
-        if key in plan:
-            raise RuntimeError("ambiguous sorted-block key; vertex dict degenerate")
-        plan[key] = (total - skip, skip)
-        total += srow["n_unique"] - skip
-        prev_last = srow["last_oid"]
-    num_vertices = total
-    num_partitions = min(num_partitions, max(1, num_vertices))
-
-    # ---- 3. write vertex dict (oid, gid, weight), preserving block order
-    def assign_gids(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"oid": pa.array([], t.column("oid").type),
-                             "gid": pa.array([], pa.int64()),
-                             "weight": pa.array([], pa.float64())})
-        u_oid, u_w = _block_uniques(t)
-        key = (u_oid[0].as_py(), u_oid[-1].as_py(), len(t))
-        off, skip = plan[key]
-        if skip:
-            u_oid, u_w = u_oid.slice(skip), u_w[skip:]
-        gid = np.arange(off + skip, off + skip + len(u_oid), dtype=np.int64)
-        return pa.table({"oid": u_oid, "gid": gid, "weight": u_w})
-
-    # pinned once: the write and the broadcast fetch below would each
-    # re-run assign_gids over every sorted block
-    vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None).materialize()
-    del vds
-    vtx.write_parquet(os.path.join(work_dir, "vertices"))
-    starts = _dataset_starts(vtx, num_vertices, num_partitions, ["gid"], "weight")
-
-    # ---- 4. translate edges to gid space
-    if num_vertices <= broadcast_threshold:
-        sorted_oids = pa.concat_tables(
-            [pa.table({"oid": b["oid"]}) for b in vtx.iter_batches(batch_format="pyarrow", batch_size=65536)]
-        ).column("oid").combine_chunks()
-        edges_gid = _translate_broadcast(edges_ds, ray.put(sorted_oids))
     else:
-        # large-dictionary path: two hash-shuffle joins (Dataset.join)
-        v = rd.read_parquet(os.path.join(work_dir, "vertices"), columns=["oid", "gid"])
-        e = edges_ds.join(v.rename_columns({"oid": "src", "gid": "src_gid"}),
-                          join_type="inner", on=("src",), num_partitions=num_partitions)
-        e = e.join(v.rename_columns({"oid": "dst", "gid": "dst_gid"}),
-                   join_type="inner", on=("dst",), num_partitions=num_partitions)
-        keep = ["src_gid", "dst_gid"] + (["w"] if weight_col else [])
-        edges_gid = e.select_columns(keep)
+        # ---- 2. large dictionary: ONE global sort of the partials ->
+        # within-block run-length dedup with driver-side reconciliation
+        # of runs that straddle block boundaries.  (A groupby + sort
+        # would be two all-to-all exchanges over the vertex table; the
+        # sorted-dedup needs one.)
+        vds = ep.sort("oid").materialize()
+        del ep
 
-    return _spool_and_finish(
-        edges_gid, work_dir, num_vertices, num_partitions, starts,
-        directed, oid_type, bool(weight_col), fingerprint, direction,
-    )
+        def _block_uniques(t: pa.Table):
+            """(unique oids ascending, summed weights) for a sorted block."""
+            oid = t.column("oid").combine_chunks()
+            w = t.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
+            eq = pc.equal(oid.slice(1), oid.slice(0, len(oid) - 1))
+            newrun = np.concatenate([[True], ~eq.to_numpy(zero_copy_only=False)])
+            starts_i = np.flatnonzero(newrun)
+            cw = np.concatenate([[0.0], np.cumsum(w)])
+            ends = np.append(starts_i[1:], len(w))
+            return oid.take(pa.array(starts_i)), cw[ends] - cw[starts_i]
+
+        def summarize(t: pa.Table) -> pa.Table:
+            """(first oid, last oid, rows, distinct oids) of a sorted block;
+            an empty block yields no row."""
+            oid = t.column("oid")
+            n = min(len(t), 1)
+            return pa.table({
+                "first_oid": oid.slice(0, n), "last_oid": oid.slice(len(t) - n, n),
+                "n_rows": pa.array([len(t)] * n, pa.int64()),
+                "n_unique": pa.array([pc.count_distinct(oid).as_py()] * n, pa.int64()),
+            })
+
+        summaries = vds.map_batches(summarize, batch_format="pyarrow", batch_size=None).take_all()
+        summaries.sort(key=lambda r: (r["first_oid"], r["last_oid"]))
+        # driver reconciliation: a run spanning two blocks appears as
+        # last_oid(i) == first_oid(i+1) — the later block skips its first
+        plan: dict = {}
+        total = 0
+        prev_last = None
+        for srow in summaries:
+            skip = 1 if (prev_last is not None and srow["first_oid"] == prev_last) else 0
+            key = (srow["first_oid"], srow["last_oid"], srow["n_rows"])
+            if key in plan:
+                raise RuntimeError("ambiguous sorted-block key; vertex dict degenerate")
+            plan[key] = (total - skip, skip)
+            total += srow["n_unique"] - skip
+            prev_last = srow["last_oid"]
+        num_vertices = total
+        num_partitions = min(num_partitions, max(1, num_vertices))
+
+        # ---- 3. write vertex dict (oid, gid, weight), preserving block order
+        def assign_gids(t: pa.Table) -> pa.Table:
+            if len(t) == 0:
+                return pa.table({"oid": pa.array([], t.column("oid").type),
+                                 "gid": pa.array([], pa.int64()),
+                                 "weight": pa.array([], pa.float64())})
+            u_oid, u_w = _block_uniques(t)
+            key = (u_oid[0].as_py(), u_oid[-1].as_py(), len(t))
+            off, skip = plan[key]
+            if skip:
+                u_oid, u_w = u_oid.slice(skip), u_w[skip:]
+            gid = np.arange(off + skip, off + skip + len(u_oid), dtype=np.int64)
+            return pa.table({"oid": u_oid, "gid": gid, "weight": u_w})
+
+        # pinned once: the write and the starts histogram would each
+        # re-run assign_gids over every sorted block
+        vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None).materialize()
+        del vds
+        vtx.write_parquet(os.path.join(work_dir, "vertices"), row_group_size=_DICT_ROW_GROUP)
+        starts = _dataset_starts(vtx, num_vertices, num_partitions, ["gid"], "weight")
+
+    # ---- 4. translate edges to gid space, 5. route
+    meta = GraphMeta(work_dir, int(num_vertices), 0, int(num_partitions),
+                     np.asarray(starts, np.int64), directed, oid_type,
+                     bool(weight_col), fingerprint)
+    edges_gid = _to_gids(edges_ds, meta, {"src": "src_gid", "dst": "dst_gid"}, dict_ref)
+    return _spool_and_finish(edges_gid, meta, direction)
 
 
 def _prepare_edges(edges_ds, weight_col):
@@ -432,13 +459,23 @@ def _merge_dictionary(vertices_dir: str, num_partitions: int, max_buckets: int,
     vt = pa.table({"oid": oids, "gid": np.arange(V, dtype=np.int64),
                    "weight": t.column("cnt_sum").to_numpy().astype(np.float64)})
     os.makedirs(vertices_dir, exist_ok=True)
-    pq.write_table(vt, os.path.join(vertices_dir, "part-0.parquet"))
+    pq.write_table(vt, os.path.join(vertices_dir, "part-0.parquet"),
+                   row_group_size=_DICT_ROW_GROUP)
     P = min(num_partitions, max(1, V))
     hist = _gid_histogram(vt, ["gid"], V, min(V, max_buckets), "weight")
     return (V, P, _histogram_starts(hist, V, P)), oids
 
 
 _HIST_BUCKETS = 1 << 20
+# at most this many vertices, oid->gid translates by a broadcast sorted
+# dictionary; above it, by hash joins against vertices/
+_BROADCAST_VERTICES = 4_000_000
+# vertices/ row-group size: a lookup skips the groups whose min/max
+# statistics exclude its keys and decodes the rest one at a time.  On a
+# 4M-URL dictionary, 16k-row groups made the file 120 MiB (102 MiB with
+# the default 1M-row groups) and cut a 1,000-random-key lookup's peak
+# Arrow memory from 143 to 4-5 MiB, at the same 0.5 s
+_DICT_ROW_GROUP = 1 << 14
 
 
 def _gid_histogram(t: pa.Table, cols, V: int, B: int, weight: str | None = None) -> np.ndarray:
@@ -499,26 +536,20 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
     boundaries, then route to the spool.  The production path for
     pre-normalized inputs (the reference's int-oid graphs with a dense
     id space)."""
-    from ray.data.aggregate import Max
+    from ray.data.aggregate import Max, Min
 
     edges_ds = _prepare_edges(edges_ds, weight_col)
-    agg = edges_ds.aggregate(Max("src", alias_name="ms"), Max("dst", alias_name="md"))
+    agg = edges_ds.aggregate(Min("src", alias_name="ns"), Min("dst", alias_name="nd"),
+                             Max("src", alias_name="ms"), Max("dst", alias_name="md"))
+    if min(agg["ns"], agg["nd"]) < 0:
+        raise ValueError("dense_int_oids needs non-negative oids")
     V = int(max(agg["ms"], agg["md"])) + 1
     P = min(num_partitions, max(1, V))
     starts = _dataset_starts(edges_ds, V, P, copies=2 if symmetrize else 1)
-
-    def to_gid(t: pa.Table) -> pa.Table:
-        d = {"src_gid": t.column("src").cast(pa.int64()),
-             "dst_gid": t.column("dst").cast(pa.int64())}
-        if weight_col:
-            d["w"] = t.column("w")
-        return pa.table(d)
-
-    edges_gid = edges_ds.map_batches(to_gid, batch_format="pyarrow", batch_size=None)
-    return _spool_and_finish(
-        edges_gid, work_dir, V, P, starts, directed, "int64", bool(weight_col),
-        fingerprint, "both" if symmetrize else "out", {"identity_oids": True},
-    )
+    meta = GraphMeta(work_dir, V, 0, P, starts, directed, "int64", bool(weight_col),
+                     fingerprint, extra={"identity_oids": True})
+    edges_gid = _to_gids(edges_ds, meta, {"src": "src_gid", "dst": "dst_gid"})
+    return _spool_and_finish(edges_gid, meta, "both" if symmetrize else "out")
 
 
 def reverse_graph(meta: GraphMeta) -> GraphMeta:
@@ -555,42 +586,67 @@ def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
     else:
         shutil.copytree(donor.vertices_path, os.path.join(work_dir, "vertices"))
     cols = ["src_gid", "dst_gid"] + (["w"] if donor.has_weights else [])
-    return _spool_and_finish(
-        rd.read_parquet(donor.spool_dir, columns=cols), work_dir,
-        donor.num_vertices, donor.num_partitions, donor.starts, donor.directed,
-        donor.oid_type, donor.has_weights, fingerprint, direction, extra,
-    )
+    meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
+                     donor.directed, donor.oid_type, donor.has_weights, fingerprint,
+                     extra=extra)
+    return _spool_and_finish(rd.read_parquet(donor.spool_dir, columns=cols), meta, direction)
 
 
-def _translate_broadcast(edges_ds, dict_ref):
-    """oid->gid via the broadcast sorted dictionary ``dict_ref`` (an
-    object ref to the sorted oid array; `pc.index_in` per batch:
-    position in the sorted dict IS the gid).
+def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
+    """The one oid->gid translate, for edges and vertex data: each oid
+    column ``c`` of ``cols`` (``{c: gid column}``) becomes its gid
+    column.  Gid columns come first in ``cols`` order, then the other
+    columns; a row with an oid that is not a vertex is dropped.  The
+    route depends on V alone:
 
-    TASK pool, not an actor pool: ray.get of the plasma-resident Arrow
-    dictionary is zero-copy per task, and tasks reach full width
-    immediately — the actor pool's 1->N ramp-up serialized the first
-    blocks behind one worker (measured 22s -> 8s on the 16M-edge
-    headline translate at 32 cpus)."""
+    - dense-int graphs: the oid is the gid;
+    - up to ``_BROADCAST_VERTICES``: ``pc.index_in`` per batch against
+      the sorted oids shared through plasma (``dict_ref``, or read from
+      ``vertices/``; position in the sorted dictionary IS the gid).  A
+      TASK pool, not an actor pool: ray.get of the plasma-resident
+      Arrow dictionary is zero-copy per task, and tasks reach full
+      width immediately — the actor pool's 1->N ramp-up serialized the
+      first blocks behind one worker (measured 22s -> 8s on the
+      16M-edge headline translate at 32 cpus);
+    - above it: one hash join per oid column against ``vertices/``
+      (the local_vertex_map.h-style scale route)."""
     import ray
+    import ray.data as rd
+
+    rest = [c for c in ds.schema().names if c not in cols]
+    V = meta.num_vertices
+    identity = bool(meta.extra.get("identity_oids"))
+    if not identity and V > _BROADCAST_VERTICES:
+        v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
+        for c, g in cols.items():
+            ds = ds.join(v.rename_columns({"oid": c, "gid": g}), join_type="inner",
+                         on=(c,), num_partitions=meta.num_partitions)
+        return ds.select_columns(list(cols.values()) + rest)
+    if not identity and dict_ref is None:
+        dict_ref = ray.put(meta._oid_range(0, V - 1))
 
     def translate(t: pa.Table) -> pa.Table:
-        oids = ray.get(dict_ref)  # zero-copy plasma read
-        sg = pc.index_in(t.column("src"), value_set=oids).cast(pa.int64())
-        dg = pc.index_in(t.column("dst"), value_set=oids).cast(pa.int64())
-        d = {"src_gid": sg, "dst_gid": dg}
-        if "w" in t.column_names:
-            d["w"] = t.column("w")
-        return pa.table(d)
+        if identity:
+            gids = [t.column(c).cast(pa.int64()) for c in cols]
+            gids = [pc.if_else(pc.and_(pc.greater_equal(g, 0), pc.less(g, V)), g, None)
+                    for g in gids]
+        else:
+            oids = ray.get(dict_ref)  # zero-copy plasma read
+            gids = [pc.index_in(t.column(c), value_set=oids).cast(pa.int64()) for c in cols]
+        out = pa.table(dict(zip(cols.values(), gids)) | {c: t.column(c) for c in rest})
+        if any(g.null_count for g in gids):
+            keep = pc.is_valid(gids[0])
+            for g in gids[1:]:
+                keep = pc.and_(keep, pc.is_valid(g))
+            out = out.filter(keep)
+        return out
 
-    return edges_ds.map_batches(translate, batch_format="pyarrow",
-                                batch_size=None)
+    return ds.map_batches(translate, batch_format="pyarrow", batch_size=None)
 
 
-def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
-                      directed, oid_type, has_weights, fingerprint,
-                      direction: str = "out", extra: dict | None = None) -> GraphMeta:
-    """Route gid rows into the spool and save the graph's meta.
+def _spool_and_finish(edges_gid, meta: GraphMeta, direction: str) -> GraphMeta:
+    """Route gid rows into the spool, then count them into ``meta`` and
+    save it.
 
     ``direction`` picks the copies each row ``(s, d, w)`` yields:
     ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
@@ -600,9 +656,10 @@ def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
     # and the CSR snapshot caches the result (the reference likewise
     # routes by owner, basic_fragment_loader.h:155-172, and sorts only
     # per-vertex neighbour lists, immutable_csr.h:100-107)
-    spool = os.path.join(work_dir, "edges")
+    spool = meta.spool_dir
     os.makedirs(spool, exist_ok=True)
-    starts_list = starts  # closure capture (tiny)
+    starts_list = meta.starts  # closure capture (tiny)
+    has_weights = meta.has_weights
 
     def route_spool(t: pa.Table) -> pa.Table:
         copies = []
@@ -632,68 +689,25 @@ def _spool_and_finish(edges_gid, work_dir, num_vertices, num_partitions, starts,
     # count to O(E/4M x P) real files
     stats = edges_gid.map_batches(route_spool, batch_format="pyarrow",
                                   batch_size=4_000_000)
-    num_edges = int(sum(r["rows"] for r in stats.take_all()))
-    meta = GraphMeta(
-        work_dir=work_dir, num_vertices=int(num_vertices),
-        num_edges=num_edges, num_partitions=int(num_partitions),
-        starts=np.asarray(starts, dtype=np.int64),
-        directed=directed and direction != "both", oid_type=oid_type,
-        has_weights=has_weights, fingerprint=fingerprint, extra=dict(extra or {}),
-    )
+    meta.num_edges = int(sum(r["rows"] for r in stats.take_all()))
+    meta.directed = meta.directed and direction != "both"
     meta.save()
     return meta
 
 
-def _write_vdata(vdata_ds, meta: GraphMeta, broadcast_threshold: int = 4_000_000):
+def _write_vdata(vdata_ds, meta: GraphMeta):
     """Translate a per-vertex property Dataset (oid, cols...) to gid
     space and spool it partitioned by owner under
     ``work_dir/vdata/part={p}/`` (ref basic_fragment_loader.h:300-338
     vertex-data routing).  V-sized, so per-partition files are written
     unsorted; the fragment sorts its own slice at load."""
-    import ray
-    import ray.data as rd
-
     cols = [c for c in vdata_ds.schema().names if c != "oid"]
     if not cols:
         raise ValueError("vdata_ds needs at least one value column besides 'oid'")
     starts_list = meta.starts
     vroot = os.path.join(meta.work_dir, "vdata")
     os.makedirs(vroot, exist_ok=True)
-
-    if meta.extra.get("identity_oids"):
-        V = meta.num_vertices
-
-        def to_gid(t: pa.Table) -> pa.Table:
-            g = t.column("oid").cast(pa.int64())
-            d = {"gid": g}
-            for c in cols:
-                d[c] = t.column(c)
-            out = pa.table(d)
-            keep = pc.and_(pc.greater_equal(g, 0), pc.less(g, V))
-            return out.filter(keep)
-
-        gidded = vdata_ds.map_batches(to_gid, batch_format="pyarrow", batch_size=None)
-    elif meta.num_vertices <= broadcast_threshold:
-        dict_ref = ray.put(meta.oids_by_gid())
-
-        def translate_v(t: pa.Table) -> pa.Table:
-            # task pool, not actors: zero-copy plasma dict read per
-            # task, no 1->N ramp (same fix as _translate_broadcast)
-            oids = ray.get(dict_ref)
-            g = pc.index_in(t.column("oid"), value_set=oids).cast(pa.int64())
-            d = {"gid": g}
-            for c in cols:
-                d[c] = t.column(c)
-            out = pa.table(d)
-            return out.filter(pc.is_valid(out.column("gid")))
-
-        gidded = vdata_ds.map_batches(translate_v, batch_format="pyarrow",
-                                      batch_size=None)
-    else:
-        v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
-        gidded = (vdata_ds.join(v, join_type="inner", on=("oid",),
-                                num_partitions=meta.num_partitions)
-                  .select_columns(["gid"] + cols))
+    gidded = _to_gids(vdata_ds, meta, {"oid": "gid"})
 
     def write_vdata(t: pa.Table) -> pa.Table:
         g = t.column("gid").to_numpy(zero_copy_only=False)
@@ -711,39 +725,14 @@ def _write_vdata(vdata_ds, meta: GraphMeta, broadcast_threshold: int = 4_000_000
     meta.save()
 
 
-def attach_oids_ds(result_ds, meta: GraphMeta, gid_col: str = "gid",
-                   oid_name: str = "oid"):
-    """Distributed oid re-attach for Dataset results — the
-    local_vertex_map-style scale path: the dictionary is NEVER
-    materialized in one process; a hash-shuffle join shards both sides
-    (use for 10^9+-vertex graphs; below that ``attach_oids`` on the
-    collected table is one cheap gather)."""
-    import ray.data as rd
-
-    if meta.extra.get("identity_oids"):
-        def add(t: pa.Table) -> pa.Table:
-            return t.add_column(0, oid_name, t.column(gid_col).cast(pa.int64()))
-
-        return result_ds.map_batches(add, batch_format="pyarrow", batch_size=None)
-    v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
-    if oid_name != "oid":
-        v = v.rename_columns({"oid": oid_name})
-    if gid_col != "gid":
-        v = v.rename_columns({"gid": gid_col})
-    return result_ds.join(v, join_type="inner", on=(gid_col,),
-                          num_partitions=meta.num_partitions)
-
-
-def attach_oids(result_table: pa.Table, meta: GraphMeta, gid_col: str = "gid",
-                oid_name: str = "oid") -> pa.Table:
-    """Re-attach original ids to a (gid, ...) result (build-time-join
-    analog of global_vertex_map.h:174-209 lookups; gids are the rank in
-    the sorted oid dict so this is a pure gather).  Driver-side O(V);
-    for huge dictionaries use ``attach_oids_ds``."""
-    if meta.extra.get("identity_oids"):
-        return result_table.add_column(
-            0, oid_name, result_table.column(gid_col).cast(pa.int64())
-        )
-    gathered = meta.oids_by_gid().take(result_table.column(gid_col))
-    out = result_table.add_column(0, oid_name, gathered)
-    return out
+def attach_oids(result, meta: GraphMeta, gid_col: str = "gid", oid_name: str = "oid"):
+    """Re-attach original ids to a ``(gid, ...)`` result Table or
+    Dataset as column 0 (global_vertex_map.h:174-209 GetOid).  Each
+    Table (or Dataset block) reads only the dictionary rows of its gid
+    range, so a ``ResultHandle`` partition block reads about V/P rows
+    and nothing V-sized lands in one process.  Raises ``ValueError``
+    on a gid outside ``[0, V)``."""
+    if isinstance(result, pa.Table):
+        return result.add_column(0, oid_name, meta.oids_of(result.column(gid_col)))
+    return result.map_batches(attach_oids, fn_args=(meta, gid_col, oid_name),
+                              batch_format="pyarrow", batch_size=None)

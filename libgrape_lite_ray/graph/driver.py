@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..memtune import in_ray_worker
 from .build import GraphMeta
 from .fragment import Fragment
 
@@ -122,11 +123,9 @@ class FragmentHost:
 
     def __init__(self, host_id: int, part_ids, host_of, work_dir: str, starts,
                  has_weights: bool, vdata_cols=None):
-        # per-actor, not at library import: the superstep loop's NumPy
-        # temp churn is what needs resident-heap malloc (see memtune)
-        from ..memtune import keep_heap_resident
-
-        keep_heap_resident()
+        # no heap tuning here: importing the package applies it in every
+        # Ray worker, actors included (see memtune), and a host built in
+        # a user process must leave that process's heap alone
         self._bind(host_id, part_ids, host_of, work_dir, starts, has_weights,
                    vdata_cols)
 
@@ -149,7 +148,8 @@ class FragmentHost:
             self._pool = ThreadPoolExecutor(max_workers=min(len(self.parts), 8))
         elif len(self.parts) <= 1:
             self._pool = None
-        self._prewarm()
+        if in_ray_worker():
+            self._prewarm()
 
     def _prewarm(self):
         """Background-fault the heap the program kernels will use —
@@ -190,43 +190,72 @@ class FragmentHost:
                    vdata_cols)
         return True
 
-    # ---------------------------------------------------------- vdata sync
-    def vdata_export(self, part: int):
-        """One-time mirror vdata sync, producer side: per requester, a
-        slice of every vdata column packed as one object (the dense
-        BatchShuffle exchange applied to VDATA at load,
-        basic_fragment_loader.h:300-338)."""
+    # ------------------------------------------------ load-time exchanges
+    @staticmethod
+    def _publish(slices: dict) -> dict:
+        """One load-time exchange bundle from ``{dest part: {name:
+        array}}``: dest ids ``d`` ascending, offsets ``o`` and each
+        name's per-destination arrays concatenated, put once in plasma
+        so only its ref travels through the driver (routing the data
+        through driver args serialized it twice and stalled engine
+        startup on mirror-heavy graphs)."""
         import ray
 
-        f = self.frags[part]
-        if not f.vdata:
-            return {"ref": None, "dests": []}
-        dests = sorted(f.export_lids)
+        dests = sorted(slices)
         if not dests:
             return {"ref": None, "dests": []}
-        lens = [len(f.export_lids[q]) for q in dests]
-        bundle = {
-            "d": np.asarray(dests, np.int32),
-            "o": np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
-        }
-        for c, arr in f.vdata.items():
-            bundle[f"c:{c}"] = np.concatenate([arr[f.export_lids[q]] for q in dests])
+        names = list(slices[dests[0]])
+        lens = [len(slices[q][names[0]]) for q in dests]
+        bundle = {"d": np.asarray(dests, np.int32),
+                  "o": np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)}
+        for k in names:
+            bundle[k] = np.concatenate([slices[q][k] for q in dests])
         return {"ref": ray.put(bundle), "dests": dests}
+
+    @staticmethod
+    def _my_slices(part: int, incoming):
+        """``(source part, {name: slice})`` for each ``(source part,
+        ref)`` of ``incoming`` whose bundle holds a slice for ``part``."""
+        import ray
+
+        bundles = ray.get([ref for _, ref in incoming])
+        for (q, _), b in zip(incoming, bundles):
+            i = int(np.searchsorted(b["d"], part))
+            if i < len(b["d"]) and b["d"][i] == part:
+                lo, hi = b["o"][i], b["o"][i + 1]
+                yield q, {k: v[lo:hi] for k, v in b.items() if k not in ("d", "o")}
+
+    def mirror_requests_packed(self, part: int):
+        """Publish one partition's mirror gids, per owner."""
+        reqs = self.frags[part].mirror_requests()
+        return self._publish({q: {"g": g} for q, g in reqs.items()})
+
+    def register_from(self, part: int, incoming):
+        """Owner side of mirror registration.  Always a FULL
+        re-registration: the engine passes every requester's list, so
+        stale export entries (a requester whose mirror set shrank after
+        a mutation) are dropped."""
+        f = self.frags[part]
+        f.export_lids.clear()
+        f.register_requests({q: s["g"] for q, s in self._my_slices(part, incoming)})
+        return True
+
+    def vdata_export(self, part: int):
+        """Mirror vdata sync, producer side: per requester, a slice of
+        every vdata column (the dense BatchShuffle exchange applied to
+        VDATA at load, basic_fragment_loader.h:300-338)."""
+        f = self.frags[part]
+        return self._publish({q: {f"c:{c}": arr[lids] for c, arr in f.vdata.items()}
+                              for q, lids in f.export_lids.items()} if f.vdata else {})
 
     def vdata_fill(self, part: int, incoming: list):
         """Consumer side: place received per-owner vdata slices into the
         outer segment of every vdata_full column."""
-        import ray
-
         f = self.frags[part]
-        bundles = ray.get([ref for _, ref in incoming])
-        for (q, _), b in zip(incoming, bundles):
-            i = int(np.searchsorted(b["d"], f.part))
-            if i < len(b["d"]) and b["d"][i] == f.part:
-                lo, hi = b["o"][i], b["o"][i + 1]
-                a0, b0 = f.mirror_bounds[q], f.mirror_bounds[q + 1]
-                for c in f.vdata:
-                    f.vdata_full[c][f.ivnum + a0: f.ivnum + b0] = b[f"c:{c}"][lo:hi]
+        for q, s in self._my_slices(part, incoming):
+            a0, b0 = f.mirror_bounds[q], f.mirror_bounds[q + 1]
+            for c in f.vdata:
+                f.vdata_full[c][f.ivnum + a0: f.ivnum + b0] = s[f"c:{c}"]
         return True
 
     def edge_count(self) -> int:
@@ -251,43 +280,6 @@ class FragmentHost:
         import ray
 
         return sum(int(a[0]) for a in ray.get(refs))
-
-    def mirror_requests_packed(self, part: int):
-        """Publish one partition's mirror lists as one packed object
-        (dest ids + offsets + concatenated gids) — registration volume
-        is O(total mirrors); routing it through driver args serialized
-        it twice and stalled engine startup on mirror-heavy graphs."""
-        import ray
-
-        reqs = self.frags[part].mirror_requests()
-        dests = sorted(reqs)
-        if not dests:
-            return {"ref": None, "dests": []}
-        lens = [len(reqs[q]) for q in dests]
-        bundle = {
-            "d": np.asarray(dests, np.int32),
-            "o": np.concatenate([[0], np.cumsum(lens)]).astype(np.int64),
-            "g": np.concatenate([reqs[q] for q in dests]),
-        }
-        return {"ref": ray.put(bundle), "dests": dests}
-
-    def register_from(self, part: int, incoming):
-        """incoming = [(requester_part, packed_ref), ...].  Always a
-        FULL re-registration: the engine passes every requester's list,
-        so stale export entries (a requester whose mirror set shrank
-        after a mutation) are dropped."""
-        import ray
-
-        f = self.frags[part]
-        bundles = ray.get([ref for _, ref in incoming])
-        reqs = {}
-        for (q, _), b in zip(incoming, bundles):
-            i = int(np.searchsorted(b["d"], f.part))
-            if i < len(b["d"]) and b["d"][i] == f.part:
-                reqs[q] = b["g"][b["o"][i]: b["o"][i + 1]]
-        f.export_lids.clear()
-        f.register_requests(reqs)
-        return True
 
     def _program_cls(self, name):
         """Registry lookup by name, or a VertexProgram CLASS shipped
@@ -639,12 +631,8 @@ class GraphEngine:
                 for h in range(H)
             ]
         self._vdata_cols = vdata_cols
-        # mirror registration (one-time; csr_edgecut_fragment_base.h dest
-        # lists) — packed refs through the object store, driver only routes
-        self._register_mirrors()
+        self._wire_mirrors()
         self.num_local_edges = sum(ray.get([a.edge_count.remote() for a in self.actors]))
-        if vdata_cols:
-            self._sync_vdata()
         # prime plasma client connections between every actor pair once
         # (the first cross-actor object exchange otherwise costs seconds
         # on the first algorithm round)
@@ -654,37 +642,29 @@ class GraphEngine:
     def _host(self, part: int):
         return self.actors[self.host_of[part]]
 
-    def _register_mirrors(self):
-        """(Re-)run the mirror-registration exchange for every
-        partition.  Called once at engine start, and again after any
-        per-superstep mutation round (mutated fragments may request a
-        different mirror set; owners' export lists are rebuilt)."""
+    def _wire_mirrors(self):
+        """Mirror registration (csr_edgecut_fragment_base.h dest lists:
+        every owner learns which of its vertices each partition
+        mirrors), then the mirror vdata sync over the new export lists.
+        Runs at engine start and after every per-superstep mutation
+        round (mutated fragments may request a different mirror set)."""
+        self._exchange("mirror_requests_packed", "register_from")
+        if self._vdata_cols:
+            self._exchange("vdata_export", "vdata_fill")
+
+    def _exchange(self, publish: str, receive: str):
+        """One load-time exchange: every partition's ``publish`` bundle
+        ref goes to each destination's ``receive``; the driver routes
+        refs only, the data stays in plasma."""
         import ray
 
         P = self.meta.num_partitions
-        packed = ray.get([self._host(p).mirror_requests_packed.remote(p)
-                          for p in range(P)])
-        to_owner: list[list] = [[] for _ in range(P)]
-        for p, pk in enumerate(packed):
+        out = ray.get([getattr(self._host(p), publish).remote(p) for p in range(P)])
+        to: list[list] = [[] for _ in range(P)]
+        for p, pk in enumerate(out):
             for q in pk["dests"]:
-                to_owner[q].append((p, pk["ref"]))
-        ray.get([self._host(q).register_from.remote(q, to_owner[q])
-                 for q in range(P)])
-
-    def _sync_vdata(self):
-        """One-time (and post-mutation) mirror vdata sync: uses the
-        just-registered export_lids; refs routed by the driver, data
-        stays in plasma."""
-        import ray
-
-        P = self.meta.num_partitions
-        vx = ray.get([self._host(p).vdata_export.remote(p) for p in range(P)])
-        v_owner: list[list] = [[] for _ in range(P)]
-        for p, pk in enumerate(vx):
-            for q in pk["dests"]:
-                v_owner[q].append((p, pk["ref"]))
-        ray.get([self._host(q).vdata_fill.remote(q, v_owner[q])
-                 for q in range(P)])
+                to[q].append((p, pk["ref"]))
+        ray.get([getattr(self._host(q), receive).remote(q, to[q]) for q in range(P)])
 
     def wait_prewarm(self):
         """Block until every fragment actor's background heap prewarm
@@ -844,9 +824,7 @@ class GraphEngine:
             if mut_applied:
                 # topology changed: rebuild the fleet's mirror wiring,
                 # then produce round r+1 fresh on the new layout
-                self._register_mirrors()
-                if self._vdata_cols:
-                    self._sync_vdata()
+                self._wire_mirrors()
                 prod2 = ray.get([a.produce.remote(r + 1) for a in self.actors])
                 for x, y in zip(res, prod2):
                     x["ref"], x["dests"], x["sent"] = y["ref"], y["dests"], y["sent"]

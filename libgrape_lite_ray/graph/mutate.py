@@ -28,7 +28,6 @@ import uuid
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ids import part_of
@@ -61,18 +60,6 @@ def load_delta_file(path: str) -> pa.Table:
     """Parse the reference's ``.e.mutable_delta`` text format."""
     with open(path) as f:
         return parse_delta_lines(f)
-
-
-def _translate_gids(meta: GraphMeta, oids: np.ndarray, col: str) -> np.ndarray:
-    if meta.extra.get("identity_oids"):
-        g = oids.astype(np.int64)
-        if len(g) and (g.min() < 0 or g.max() >= meta.num_vertices):
-            raise ValueError(f"delta {col} oid outside vertex universe")
-        return g
-    idx = pc.index_in(pa.array(oids), value_set=meta.oids_by_gid())
-    if idx.null_count:
-        raise ValueError(f"delta {col} oid not in vertex dictionary")
-    return idx.cast(pa.int64()).to_numpy(zero_copy_only=False)
 
 
 def _mutate_partition(spool_dir: str, p: int, out_pdir: str, has_w: bool,
@@ -120,11 +107,14 @@ def mutate_graph(meta: GraphMeta, delta: pa.Table, out_dir: str) -> GraphMeta:
 def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
     import ray
 
-    sg = _translate_gids(meta, delta.column("src").to_numpy(zero_copy_only=False), "src")
-    dg = _translate_gids(meta, delta.column("dst").to_numpy(zero_copy_only=False), "dst")
+    n = delta.num_rows
+    # one dictionary lookup for both endpoints
+    g = meta.gids_of(pa.chunked_array(delta.column("src").chunks + delta.column("dst").chunks,
+                                      delta.column("src").type))
+    sg, dg = g[:n], g[n:]
     op = np.asarray(delta.column("op").to_pylist())
     w = (delta.column("w").to_numpy(zero_copy_only=False).astype(np.float64)
-         if "w" in delta.column_names else np.zeros(len(sg)))
+         if "w" in delta.column_names else np.zeros(n))
     if not meta.directed:
         sg, dg = np.concatenate([sg, dg]), np.concatenate([dg, sg])
         op = np.concatenate([op, op])

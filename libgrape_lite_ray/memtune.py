@@ -35,6 +35,14 @@ _M_MMAP_MAX = -4
 _done = False
 
 
+def in_ray_worker() -> bool:
+    """True inside a Ray worker process (a task's or an actor's), whose
+    raylet sets ``RAY_RAYLET_PID``; False in a driver or any other user
+    process.  Only Ray workers get the resident heap at import and the
+    fragment hosts' heap prewarm: a user process keeps its own heap."""
+    return bool(os.environ.get("RAY_RAYLET_PID"))
+
+
 def keep_heap_resident() -> bool:
     """Apply the malloc tuning to the current process (idempotent).
 

@@ -14,10 +14,11 @@ Scale shape: the WCC graph holds ONLY docs appearing in >=1 verified
 pair — at 10^12 docs with any realistic dup rate that subgraph is
 orders of magnitude smaller than the corpus.  Nothing corpus-sized
 lands on the driver: pairs stay a Dataset end-to-end, labels re-attach
-via a broadcast gather over the dup-subset dictionary, and the final
-corpus join is a distributed hash join keyed on the doc id.  Consume
-with ``write_parquet`` (or the
-resumable ``sinks.write_dataset_partitioned``) at scale.
+through per-partition dictionary reads (``GraphMeta.oids_of``), and
+the final corpus join is a broadcast scan or, above
+``_BROADCAST_ROWS``, a distributed hash join keyed on the doc id.
+Consume with ``write_parquet`` (or the resumable
+``sinks.write_dataset_partitioned``) at scale.
 """
 
 from __future__ import annotations
@@ -29,12 +30,15 @@ import pyarrow as pa
 
 __all__ = ["dedup_clusters", "dedup_keep"]
 
+# label / drop-set rows up to which the corpus pass reads one
+# plasma-shared sorted array instead of running a hash join
+_BROADCAST_ROWS = 50_000_000
+
 
 def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
                    key: str = "doc_id", mode: str = "fast",
                    threshold: float = 0.7, num_partitions: int | None = None,
-                   pairs_ds=None, broadcast_rows: int = 50_000_000,
-                   **pair_kw):
+                   pairs_ds=None, **pair_kw):
     """-> Dataset (key, cluster): one row per doc, ``cluster`` = min
     doc id of its near-dup component (itself when unpaired).
 
@@ -78,23 +82,14 @@ def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
     try:
         res, _ = eng.run("wcc")
         # gid -> oid for the vertex AND its component label (comp is a
-        # gid; gids are oid-sorted ranks, so min gid == min oid).  The
-        # pair graph's dictionary holds ONLY docs with >=1 verified
-        # near-dup — small by construction — so one broadcast gather
-        # (ray.put once, numpy take per batch) beats two hash-join
-        # shuffles; a corpus-sized dictionary never passes through here.
-        import ray
-
-        dict_ref = ray.put(meta.oids_by_gid().to_numpy())
-
+        # gid; gids are oid-sorted ranks, so min gid == min oid): one
+        # dictionary read per partition block, of its gid range
         def to_labels(t: pa.Table) -> pa.Table:
-            oids = ray.get(dict_ref)  # zero-copy plasma read per task
-            gid = t.column("gid").to_numpy()
-            comp = t.column("comp").to_numpy()
-            return pa.table({
-                key: pa.array(oids[gid], pa.int64()),
-                "cluster": pa.array(oids[comp], pa.int64()),
-            })
+            n = t.num_rows
+            oids = meta.oids_of(pa.chunked_array(
+                t.column("gid").chunks + t.column("comp").chunks, pa.int64()))
+            return pa.table({key: oids.slice(0, n).cast(pa.int64()),
+                             "cluster": oids.slice(n).cast(pa.int64())})
 
         labels = (res.to_dataset()
                   .map_batches(to_labels, batch_format="pyarrow",
@@ -104,14 +99,14 @@ def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
         eng.shutdown()
 
     # Re-attach to the corpus.  The label table covers ONLY the dup
-    # subset; when it fits the broadcast gate (same pattern/threshold
-    # as graph/build.py broadcast_threshold and ops/dedup.py
-    # _candidate_payload) one plasma-shared sorted array turns the
+    # subset; when it fits the broadcast gate (same pattern as
+    # graph/build.py _to_gids and ops/dedup.py _candidate_payload) one
+    # plasma-shared sorted array turns the
     # corpus-sized left_outer hash join into a plain scan with a
     # vectorized searchsorted lookup — no shuffle at all.  Above the
     # gate (a dup subset that big means the corpus is ~all dups) the
     # distributed hash join is the fallback.
-    if labels.count() <= broadcast_rows:
+    if labels.count() <= _BROADCAST_ROWS:
         import numpy as np
         import ray
 
@@ -152,8 +147,7 @@ def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
     return out.map_batches(fill, batch_format="pyarrow", batch_size=None)
 
 
-def dedup_keep(docs_ds, clusters_ds, key: str = "doc_id",
-               broadcast_rows: int = 50_000_000):
+def dedup_keep(docs_ds, clusters_ds, key: str = "doc_id"):
     """Filter the corpus to its cluster representatives — one doc per
     near-dup cluster (the doc whose id IS the cluster id).
 
@@ -178,7 +172,7 @@ def dedup_keep(docs_ds, clusters_ds, key: str = "doc_id",
     n_drop = drop_ds.count()
     if n_drop == 0:
         return docs_ds
-    if n_drop <= broadcast_rows:
+    if n_drop <= _BROADCAST_ROWS:
         import numpy as np
         import ray
 

@@ -62,7 +62,7 @@ def main(argv=None) -> dict:
 
     import ray.data as rd
 
-    from .graph.build import attach_oids_ds, build_graph
+    from .graph.build import attach_oids, build_graph
     from .graph.driver import GraphEngine
     from .sinks import write_dataset_partitioned
 
@@ -91,7 +91,8 @@ def main(argv=None) -> dict:
                 checkpoint_every=args.checkpoint_every,
                 resume=args.resume,
             )
-            out_ds = attach_oids_ds(res.to_dataset(), meta).drop_columns(["gid"])
+            # oid first: the sink buckets rows by a hash of column 0
+            out_ds = attach_oids(res.to_dataset(), meta).drop_columns(["gid"])
             sink = write_dataset_partitioned(
                 out_ds, args.out, meta.num_partitions, resume=args.resume)
         finally:

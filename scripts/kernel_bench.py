@@ -13,6 +13,8 @@ supported (no mirror vdata sync runs).
 Usage:
     python scripts/kernel_bench.py GRAPH_DIR PROGRAM [--params JSON] [--reps N]
 
+The script applies the fragment actors' malloc tuning
+(``memtune.keep_heap_resident``) to its own process first.
 ``GRAPH_DIR`` is a directory written by ``build_graph`` (it holds
 ``graph_meta.json``); run ``lcc`` on one built with ``symmetrize=True``.
 Prints one JSON line per rep: ``update_cpu_s[r][p]`` is partition p's
@@ -33,11 +35,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from libgrape_lite_ray.graph.build import GraphMeta  # noqa: E402
 from libgrape_lite_ray.graph.driver import FragmentHost, _reduce_globals  # noqa: E402
+from libgrape_lite_ray.memtune import keep_heap_resident  # noqa: E402
 
 
 def load_hosts(meta: GraphMeta) -> list[FragmentHost]:
     """One FragmentHost per partition, all on host 0 (so no payload is
-    ever ``ray.put``), with the mirror export lists registered."""
+    ever ``ray.put``), with the mirror export lists registered.  Hosts
+    built outside a Ray worker start no heap prewarm."""
     P = meta.num_partitions
     hosts = [FragmentHost(0, [p], np.zeros(P, np.int64), meta.work_dir,
                           meta.starts.tolist(), meta.has_weights)
@@ -45,8 +49,6 @@ def load_hosts(meta: GraphMeta) -> list[FragmentHost]:
     for p, h in enumerate(hosts):
         for owner, gids in h.frags[p].mirror_requests().items():
             hosts[owner].frags[owner].register_requests({p: gids})
-    for h in hosts:
-        h.join_prewarm()
     return hosts
 
 
@@ -87,6 +89,7 @@ def main():
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--max-rounds", type=int, default=100)
     a = ap.parse_args()
+    keep_heap_resident()  # the malloc tuning every fragment actor runs with
     hosts = load_hosts(GraphMeta.load(a.graph_dir))
     for _ in range(a.reps):
         print(json.dumps(run_once(hosts, a.program, json.loads(a.params), a.max_rounds)),

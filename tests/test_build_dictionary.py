@@ -52,8 +52,10 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case):
+def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case, monkeypatch):
     import ray.data as rd
+
+    import libgrape_lite_ray.graph.build as build
 
     kw = dict(CASES[case])
     if kw.pop("isolated", False):
@@ -62,7 +64,8 @@ def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case):
             ["https://isolated.example/", "https://h00.example/p0"], pa.string())}))
     edges = _edges_ds()
     small = [build_graph(edges, os.path.join(tmp_work, f"s{i}"), P, **kw) for i in range(2)]
-    large = build_graph(edges, os.path.join(tmp_work, "l"), P, broadcast_threshold=0, **kw)
+    monkeypatch.setattr(build, "_BROADCAST_VERTICES", 0)  # the sort + join path
+    large = build_graph(edges, os.path.join(tmp_work, "l"), P, **kw)
 
     a, b = small[0], large
     assert a.num_vertices == b.num_vertices
@@ -105,7 +108,8 @@ def test_bucketed_starts_equal_on_every_build_path(ray_session, tmp_work, monkey
 
     edges = rd.from_arrow(pa.table({"src": as_str(src), "dst": as_str(dst)}))
     one_task = build_graph(edges, os.path.join(tmp_work, "s"), P)
-    sort_join = build_graph(edges, os.path.join(tmp_work, "l"), P, broadcast_threshold=0)
+    monkeypatch.setattr(build, "_BROADCAST_VERTICES", 0)
+    sort_join = build_graph(edges, os.path.join(tmp_work, "l"), P)
 
     assert dense.num_vertices == one_task.num_vertices == sort_join.num_vertices == V
     assert np.array_equal(one_task.starts, dense.starts), (one_task.starts, dense.starts)

@@ -78,11 +78,12 @@ def test_clusters_end_to_end_minhash(ray_session, tmp_work):
     assert out["cluster"].tolist() == [10, 10, 10, 13]
 
 
-def test_keep_and_label_join_fallback_match_broadcast(ray_session, tmp_work):
-    """broadcast_rows=0 forces the distributed-join routes; results
-    must equal the broadcast routes bit-for-bit."""
+def test_keep_and_label_join_fallback_match_broadcast(ray_session, tmp_work, monkeypatch):
+    """``_BROADCAST_ROWS = 0`` forces the distributed-join routes;
+    results must equal the broadcast routes bit-for-bit."""
     import ray.data as rd
 
+    from libgrape_lite_ray.pipelines import dedup_cluster
     from libgrape_lite_ray.pipelines.dedup_cluster import (dedup_clusters,
                                                            dedup_keep)
 
@@ -92,12 +93,12 @@ def test_keep_and_label_join_fallback_match_broadcast(ray_session, tmp_work):
     }))
     docs = _docs(10)
     cl_b = dedup_clusters(docs, f"{tmp_work}/pgb", pairs_ds=pairs)
-    cl_j = dedup_clusters(docs, f"{tmp_work}/pgj", pairs_ds=pairs,
-                          broadcast_rows=0)
+    kb = dedup_keep(docs, cl_b).to_pandas().sort_values("doc_id")
+    monkeypatch.setattr(dedup_cluster, "_BROADCAST_ROWS", 0)
+    cl_j = dedup_clusters(docs, f"{tmp_work}/pgj", pairs_ds=pairs)
     pb = cl_b.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pj = cl_j.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert pb.equals(pj)
 
-    kb = dedup_keep(docs, cl_b).to_pandas().sort_values("doc_id")
-    kj = dedup_keep(docs, cl_b, broadcast_rows=0).to_pandas().sort_values("doc_id")
+    kj = dedup_keep(docs, cl_b).to_pandas().sort_values("doc_id")
     assert kb["doc_id"].tolist() == kj["doc_id"].tolist() == [0, 1, 4, 5, 6, 7, 9]

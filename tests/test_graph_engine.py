@@ -148,13 +148,12 @@ def test_string_oids_and_attach(ray_session, tmp_work):
 
 
 def test_attach_oids_ds_matches_gather(ray_session, tmp_work):
-    """Distributed (join) oid re-attach == the driver-side gather."""
+    """attach_oids on the result Dataset (one dictionary range read per
+    partition block) == attach_oids on the collected Table."""
     import os
 
     import pyarrow as pa
     import ray.data as rd
-
-    from libgrape_lite_ray.graph.build import attach_oids_ds
 
     src, dst = fixtures.er_components()
     s = pa.array([f"u{i:04d}" for i in src], pa.string())
@@ -166,8 +165,9 @@ def test_attach_oids_ds_matches_gather(ray_session, tmp_work):
         out, _ = eng.run("wcc")
         tbl = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow", batch_size=10**6)))
         want = attach_oids(tbl, meta).to_pandas().sort_values("gid").reset_index(drop=True)
-        got = (attach_oids_ds(out.to_dataset(), meta).to_pandas()
-               .sort_values("gid").reset_index(drop=True)[want.columns.tolist()])
+        got = (attach_oids(out.to_dataset(), meta).to_pandas()
+               .sort_values("gid").reset_index(drop=True))
+        assert got.columns.tolist() == want.columns.tolist() == ["oid", "gid", "comp"]
         assert got.equals(want)
     finally:
         eng.shutdown()
@@ -203,9 +203,9 @@ def test_sample_neighbors(ray_session, tmp_work):
         eng.shutdown()
 
 
-def test_join_translate_path_matches_broadcast(ray_session, tmp_work):
-    """Large-dictionary build path (broadcast_threshold exceeded -> two
-    Dataset.join shuffles, the local_vertex_map-style scale route,
+def test_join_translate_path_matches_broadcast(ray_session, tmp_work, monkeypatch):
+    """Large-dictionary build path (``_BROADCAST_VERTICES`` exceeded ->
+    two Dataset.join shuffles, the local_vertex_map-style scale route,
     grape/vertex_map/local_vertex_map.h analog) produces the same graph
     and the same WCC results as the broadcast-dictionary path."""
     import os
@@ -213,13 +213,15 @@ def test_join_translate_path_matches_broadcast(ray_session, tmp_work):
     import pyarrow as pa
     import ray.data as rd
 
+    import libgrape_lite_ray.graph.build as build
+
     src, dst = fixtures.er_components()
     s = pa.array([f"https://v{i:04d}.example/" for i in src], pa.string())
     d = pa.array([f"https://v{i:04d}.example/" for i in dst], pa.string())
     ds = rd.from_arrow(pa.table({"src": s, "dst": d}))
     m_b = build_graph(ds, os.path.join(tmp_work, "jb"), 3, symmetrize=True)
-    m_j = build_graph(ds, os.path.join(tmp_work, "jj"), 3, symmetrize=True,
-                      broadcast_threshold=0)
+    monkeypatch.setattr(build, "_BROADCAST_VERTICES", 0)
+    m_j = build_graph(ds, os.path.join(tmp_work, "jj"), 3, symmetrize=True)
     assert (m_j.num_vertices, m_j.num_edges) == (m_b.num_vertices, m_b.num_edges)
     want = oracle.wcc(src, dst, 100)
     for meta in (m_b, m_j):
@@ -232,10 +234,11 @@ def test_join_translate_path_matches_broadcast(ray_session, tmp_work):
 
 
 def test_memtune_applied():
-    """keep_heap_resident applies the malloc tuning where invoked
-    (FragmentHost init / bench entry, NOT library import — see
-    ADVICE round 2).  Gated: on non-glibc platforms there is nothing
-    to tune."""
+    """keep_heap_resident applies the malloc tuning where invoked: at
+    library import in Ray workers (fragment actors included) and
+    explicitly in bench.py and scripts/kernel_bench.py, never at import
+    in a user process (see ADVICE round 2).  Gated: on non-glibc
+    platforms there is nothing to tune."""
     import ctypes
 
     import pytest

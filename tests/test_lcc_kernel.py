@@ -18,18 +18,16 @@ import pytest
 from libgrape_lite_ray import fixtures
 from libgrape_lite_ray.graph import oracle
 from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
-from libgrape_lite_ray.graph.driver import FragmentHost, GraphEngine
+from libgrape_lite_ray.graph.driver import GraphEngine
 from libgrape_lite_ray.graph.programs import lcc as lcc_mod
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
-def kernel_bench(monkeypatch):
-    """The script's in-process runner, without the actors' heap tuning
-    and prewarm (they would pin memory in the test process)."""
-    monkeypatch.setattr("libgrape_lite_ray.memtune.keep_heap_resident", lambda: True)
-    monkeypatch.setattr(FragmentHost, "_prewarm", lambda self: None)
+def kernel_bench():
+    """The script's in-process runner: hosts built here, outside a Ray
+    worker, leave the test process's heap alone."""
     spec = importlib.util.spec_from_file_location(
         "kernel_bench", os.path.join(_ROOT, "scripts", "kernel_bench.py"))
     mod = importlib.util.module_from_spec(spec)

@@ -68,6 +68,11 @@ def test_run_cli_corpus_mode(ray_session, tmp_work):
     assert s["written"] >= 1 and s["vertices"] > 0
     t = _read_out(out)
     assert t.num_rows == s["vertices"]
+    # the sink buckets rows by column 0: the oid, not the component
+    assert t.column_names[0] == "oid"
+    rows = [pq.read_metadata(f).num_rows
+            for f in glob.glob(os.path.join(out, "part=*", "data.parquet"))]
+    assert sum(n > 0 for n in rows) > 1, rows
 
 
 def test_run_cli_mid_algorithm_resume(ray_session, tmp_work):
