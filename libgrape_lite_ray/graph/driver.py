@@ -1,24 +1,33 @@
 """Superstep driver: the Ray-native analog of grape/worker/worker.h:87-133.
 
-One long-lived actor per partition (``FragmentHost``) holds the CSR
-fragment and the running program.  Each superstep:
+One long-lived actor (``FragmentHost``) hosts one or more partitions'
+CSR fragments and running programs.  Every fragment-to-fragment
+transfer goes through one exchange (the reference's single
+``InArchive``/``OutArchive`` format, grape/serialization/in_archive.h):
 
-1. ``produce(r)`` on every actor: exports dense mirror slices and/or
-   sparse combined messages; each payload is ``ray.put`` inside the
-   actor so only ObjectRefs travel through the driver (the routing
-   table — never the data).  This is the hash-partitioned exchange: the
-   destination partition of a message is derived from the gid by
-   arithmetic, the payload is pre-combined at the source (combiner),
-   and final aggregation happens at the destination — the
-   groupby-aggregate shuffle of the north_star, carried by the object
-   store instead of a Dataset op so the CSR state stays in place.
-2. driver routes refs: sync slices to mirror holders, messages to
-   destination owners.
-3. ``step(r)`` on every actor: assemble outer buffers, apply
-   messages, compute (program.update), return the active count, and
-   produce round r+1 in the same call.
-4. terminate when Σ active == 0 (default_message_manager.h:324-350) or
-   the round cap is hit.
+- a fragment's outgoing data is ``{dest part: {channel: array | tuple
+  of arrays}}``; ``_pack`` turns it into one bundle (per channel:
+  destination ids, offsets, concatenated columns) and ``_unpack``
+  gives one destination its slices;
+- a host packs all its fragments into one payload, ``ray.put`` only
+  when some destination lives on another host (co-hosted fragments
+  read the local payload, no object-store hop);
+- the driver routes payload refs host to host (``GraphEngine._route``),
+  never the data, and frees them after the consuming barrier;
+- a receiver gets every channel as ``(source partition, payload)``
+  pairs in ascending source order, so results are bitwise the same at
+  any ``num_hosts``.
+
+The load-time phases use it: mirror registration (``mirror``: each
+fragment sends every owner the gids it mirrors) and the vertex-data
+sync (``vdata``: owners send the requesters their columns).  So does
+every round: ``sync`` (dense owner -> mirror values), ``push`` (dense
+mirror -> owner partials) and ``msgs`` (sparse combined messages).
+
+A round: ``step(r)`` on every host applies round r's exchange
+(program.update), returns the active count, and produces round r+1 in
+the same call.  The run terminates when the active total is 0
+(default_message_manager.h:324-350) or the round cap is hit.
 
 Checkpoint/resume (north_rule): every ``checkpoint_every`` rounds each
 actor writes its program state to
@@ -71,6 +80,69 @@ def _reduce_globals(harvests) -> dict | None:
     return agg or None
 
 
+def _pack(slices: dict) -> dict | None:
+    """One exchange bundle from ``{dest part: {channel: array | tuple of
+    arrays}}``: per channel, its destination ids ascending, row offsets
+    and each column's per-destination slices concatenated, so a
+    consumer deserializes a few flat arrays (zero-copy from plasma)
+    instead of O(P) small objects.  A channel reaches exactly the
+    destinations that name it, zero-length slices included.  None when
+    nothing is sent."""
+    by_ch: dict = {}
+    for q in sorted(slices):
+        for ch, v in slices[q].items():
+            by_ch.setdefault(ch, []).append((q, v))
+    bundle = {}
+    for ch, items in by_ch.items():
+        tup = isinstance(items[0][1], tuple)
+        cols = [v if tup else (v,) for _, v in items]
+        bundle[ch] = (np.asarray([q for q, _ in items], np.int32),
+                      np.concatenate([[0], np.cumsum([len(c[0]) for c in cols])]).astype(np.int64),
+                      [np.concatenate([c[j] for c in cols]) for j in range(len(cols[0]))],
+                      tup)
+    return bundle or None
+
+
+def _unpack(bundle: dict, part: int) -> dict:
+    """``{channel: payload}`` of the slices ``bundle`` holds for
+    ``part``: a tuple of column slices for a tuple channel, else one
+    array.  Channels with no slice for ``part`` are absent."""
+    out = {}
+    for ch, (dests, offs, cols, tup) in bundle.items():
+        i = int(np.searchsorted(dests, part))
+        if i < len(dests) and dests[i] == part:
+            sl = slice(offs[i], offs[i + 1])
+            out[ch] = tuple(c[sl] for c in cols) if tup else cols[0][sl]
+    return out
+
+
+def _free_bundles(outs):
+    """Eagerly release consumed exchange payloads from plasma.
+
+    The per-round ray.puts otherwise outlive their single
+    consumption by one-to-many rounds (distributed ref GC is
+    async), so the store keeps allocating FRESH pages — and on
+    hosts with virtio free-page reporting a fresh plasma page
+    faults at ~25 MB/s (see memtune).  Freeing right after the
+    consuming barrier lets the store's allocator hand the same
+    warm pages to the next round: measured 10x on the exchange
+    round (70ms vs 600ms for a 435MB/round all-to-all at P=32).
+    Safe because every consumer finished inside the barrier and
+    no program retains views into incoming bundles past
+    update() (audited; LCC concatenates what it keeps), and the
+    load-time phases copy what they receive.
+    """
+    refs = [o["ref"] for o in outs if o.get("ref") is not None]
+    if not refs:
+        return
+    try:
+        from ray._private.internal_api import free as _plasma_free
+
+        _plasma_free(refs, local_only=True)
+    except Exception:
+        pass  # best-effort: normal ref GC still applies
+
+
 class ResultHandle:
     """Distributed per-vertex result: one Arrow table ref per partition.
 
@@ -97,12 +169,6 @@ class ResultHandle:
         import ray.data as rd
 
         return rd.from_arrow_refs(self.refs)
-
-    def iter_batches(self, batch_format: str = "pyarrow", batch_size=None):
-        import ray
-
-        for t in ray.get(self.refs):
-            yield t if batch_format == "pyarrow" else t.to_pandas()
 
 
 class FragmentHost:
@@ -138,7 +204,7 @@ class FragmentHost:
         self.frags = {p: Fragment(p, work_dir, st, has_weights, vdata_cols)
                       for p in self.parts}
         self.programs: dict[int, object] = {}
-        self._own_payload: dict[int, dict] = {}
+        self._own_payload: dict = {}  # exchange key -> own payload
         # intra-host parallelism over co-hosted fragments (the
         # reference's threads-per-worker): NumPy kernels release the
         # GIL, so apply/pack for 4 fragments in one actor overlap well
@@ -190,72 +256,104 @@ class FragmentHost:
                    vdata_cols)
         return True
 
-    # ------------------------------------------------ load-time exchanges
-    @staticmethod
-    def _publish(slices: dict) -> dict:
-        """One load-time exchange bundle from ``{dest part: {name:
-        array}}``: dest ids ``d`` ascending, offsets ``o`` and each
-        name's per-destination arrays concatenated, put once in plasma
-        so only its ref travels through the driver (routing the data
-        through driver args serialized it twice and stalled engine
-        startup on mirror-heavy graphs)."""
+    # ------------------------------------------------------------ exchange
+    def _outgoing(self, part: int, key) -> dict:
+        """One fragment's ``{dest: {channel: array | tuple}}`` for the
+        exchange ``key``: a load-time phase or a round number."""
+        f = self.frags[part]
+        if key == "mirror":  # the gids this fragment mirrors, per owner
+            return {q: {"mirror": g} for q, g in f.mirror_requests().items()}
+        if key == "vdata":  # every vdata column, per requester (the dense
+            # BatchShuffle exchange applied to VDATA at load,
+            # basic_fragment_loader.h:300-338)
+            return {q: {"vdata": tuple(a[lids] for a in f.vdata.values())}
+                    for q, lids in f.export_lids.items()} if f.vdata else {}
+        prog = self.programs[part]
+        out: dict = {}
+        mv = prog.mirror_values(key)
+        if mv is not None:
+            for q, vals in f.export_values(mv).items():
+                out.setdefault(q, {})["sync"] = vals
+        # dense mirror-push (mirror holder -> owner): the outer segment
+        # is contiguous per owner (mirror_bounds), so the per-owner
+        # payload is a zero-copy slice with NO gid column
+        pv = prog.mirror_push(key)
+        if pv is not None:
+            for q, (a, b) in enumerate(zip(f.mirror_bounds[:-1], f.mirror_bounds[1:])):
+                if b > a:
+                    out.setdefault(q, {})["push"] = pv[a:b]
+        for q, payload in prog.messages(key).items():
+            out.setdefault(q, {})["msgs"] = tuple(np.asarray(c) for c in payload)
+        return out
+
+    def _received(self, part: int, pairs) -> dict:
+        """``{channel: [(source part, payload), ...]}`` for ``part``, in
+        the ascending source order of ``pairs``."""
+        got: dict = {}
+        for q, bundle in pairs:
+            for ch, payload in _unpack(bundle, part).items():
+                got.setdefault(ch, []).append((q, payload))
+        return got
+
+    def produce(self, key):
+        """Pack every hosted fragment's exchange ``key`` into ONE host
+        payload: one ray.put per host, and only when some destination
+        lives on another host — co-hosted consumers read the local
+        payload directly (no object-store hop)."""
         import ray
 
-        dests = sorted(slices)
-        if not dests:
-            return {"ref": None, "dests": []}
-        names = list(slices[dests[0]])
-        lens = [len(slices[q][names[0]]) for q in dests]
-        bundle = {"d": np.asarray(dests, np.int32),
-                  "o": np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)}
-        for k in names:
-            bundle[k] = np.concatenate([slices[q][k] for q in dests])
-        return {"ref": ray.put(bundle), "dests": dests}
+        def pack(p):
+            return _pack(self._outgoing(p, key))
 
-    @staticmethod
-    def _my_slices(part: int, incoming):
-        """``(source part, {name: slice})`` for each ``(source part,
-        ref)`` of ``incoming`` whose bundle holds a slice for ``part``."""
+        t0 = time.perf_counter()
+        packed = (list(self._pool.map(pack, self.parts)) if self._pool is not None
+                  else [pack(p) for p in self.parts])
+        parts, bundles, dests, sent = [], [], set(), 0
+        for p, bundle in zip(self.parts, packed):
+            if bundle is not None:
+                parts.append(p)
+                bundles.append(bundle)
+                for d, offs, _, _ in bundle.values():
+                    dests.update(d.tolist())
+                    sent += int(offs[-1])
+        payload = {"parts": parts, "bundles": bundles}
+        self._own_payload[key] = payload
+        remote = any(self.host_of[d] != self.host_id for d in dests)
+        return {"ref": ray.put(payload) if remote else None, "dests": sorted(dests),
+                "sent": sent, "produce_s": time.perf_counter() - t0}
+
+    def _gather_pairs(self, key, incoming: list):
+        """incoming = remote host payload refs; plus this host's own
+        payload for ``key`` (kept local, never ray.put when all dests
+        are co-hosted).  Returns (source partition, bundle) pairs in
+        ascending source-partition order, so programs add received
+        partials in the same order at every ``num_hosts``."""
         import ray
 
-        bundles = ray.get([ref for _, ref in incoming])
-        for (q, _), b in zip(incoming, bundles):
-            i = int(np.searchsorted(b["d"], part))
-            if i < len(b["d"]) and b["d"][i] == part:
-                lo, hi = b["o"][i], b["o"][i + 1]
-                yield q, {k: v[lo:hi] for k, v in b.items() if k not in ("d", "o")}
+        payloads = list(ray.get(incoming)) if incoming else []
+        own = self._own_payload.pop(key, None)
+        if own is not None:
+            payloads.append(own)
+        return sorted(((q, b) for pl in payloads
+                       for q, b in zip(pl["parts"], pl["bundles"])),
+                      key=lambda qb: qb[0])
 
-    def mirror_requests_packed(self, part: int):
-        """Publish one partition's mirror gids, per owner."""
-        reqs = self.frags[part].mirror_requests()
-        return self._publish({q: {"g": g} for q, g in reqs.items()})
-
-    def register_from(self, part: int, incoming):
-        """Owner side of mirror registration.  Always a FULL
-        re-registration: the engine passes every requester's list, so
-        stale export entries (a requester whose mirror set shrank after
-        a mutation) are dropped."""
-        f = self.frags[part]
-        f.export_lids.clear()
-        f.register_requests({q: s["g"] for q, s in self._my_slices(part, incoming)})
-        return True
-
-    def vdata_export(self, part: int):
-        """Mirror vdata sync, producer side: per requester, a slice of
-        every vdata column (the dense BatchShuffle exchange applied to
-        VDATA at load, basic_fragment_loader.h:300-338)."""
-        f = self.frags[part]
-        return self._publish({q: {f"c:{c}": arr[lids] for c, arr in f.vdata.items()}
-                              for q, lids in f.export_lids.items()} if f.vdata else {})
-
-    def vdata_fill(self, part: int, incoming: list):
-        """Consumer side: place received per-owner vdata slices into the
-        outer segment of every vdata_full column."""
-        f = self.frags[part]
-        for q, s in self._my_slices(part, incoming):
-            a0, b0 = f.mirror_bounds[q], f.mirror_bounds[q + 1]
-            for c in f.vdata:
-                f.vdata_full[c][f.ivnum + a0: f.ivnum + b0] = s[f"c:{c}"]
+    def receive(self, phase: str, incoming: list):
+        """Consumer side of a load-time phase.  ``mirror`` is always a
+        FULL re-registration: every requester's list arrives, so stale
+        export entries (a requester whose mirror set shrank after a
+        mutation) are dropped.  ``vdata`` fills the outer segment of
+        every vdata_full column."""
+        pairs = self._gather_pairs(phase, incoming)
+        for p in self.parts:
+            f = self.frags[p]
+            got = self._received(p, pairs).get(phase, [])
+            if phase == "mirror":
+                f.export_lids.clear()
+                f.register_requests(dict(got))
+            else:
+                for j, c in enumerate(f.vdata):
+                    f.place_outer(f.vdata_full[c][f.ivnum:], [(q, cols[j]) for q, cols in got])
         return True
 
     def edge_count(self) -> int:
@@ -303,128 +401,15 @@ class FragmentHost:
             self.programs[p].init()
         return self._harvest_globals()
 
-    def _pack_one(self, part: int, rnd: int):
-        """One fragment's outgoing exchange as a dict of a few FLAT
-        arrays (destination ids + offsets + one concatenated buffer per
-        payload column) — consumers deserialize O(1) numpy arrays
-        (zero-copy from plasma) instead of O(P) small objects."""
-        f = self.frags[part]
-        program = self.programs[part]
-        sent = 0
-        sd: list[int] = []
-        sync_parts: list[np.ndarray] = []
-        mv = program.mirror_values(rnd)
-        if mv is not None:
-            for p, vals in sorted(f.export_values(mv).items()):
-                sd.append(p)
-                sync_parts.append(vals)
-                sent += len(vals)
-        # dense mirror-push (mirror holder -> owner): the outer segment
-        # is contiguous per owner (mirror_bounds), so the per-owner
-        # payload is a zero-copy slice with NO gid column
-        pd: list[int] = []
-        push_parts: list[np.ndarray] = []
-        pv = program.mirror_push(rnd)
-        if pv is not None:
-            for q in range(f.num_parts):
-                a, b = f.mirror_bounds[q], f.mirror_bounds[q + 1]
-                if b > a:
-                    pd.append(q)
-                    push_parts.append(pv[a:b])
-                    sent += int(b - a)
-        md: list[int] = []
-        msg_cols: list[list[np.ndarray]] = []
-        for p, payload in sorted(program.messages(rnd).items()):
-            md.append(p)
-            msg_cols.append([np.asarray(c) for c in payload])
-            sent += int(len(payload[0]))
-        dests = sorted(set(sd) | set(pd) | set(md))
-        if not dests:
-            return None, [], 0
-        bundle = {
-            "sd": np.asarray(sd, np.int32),
-            "so": np.concatenate([[0], np.cumsum([len(v) for v in sync_parts])]).astype(np.int64),
-            "sv": np.concatenate(sync_parts) if sync_parts else np.empty(0),
-            "pd": np.asarray(pd, np.int32),
-            "po": np.concatenate([[0], np.cumsum([len(v) for v in push_parts])]).astype(np.int64),
-            "pv": np.concatenate(push_parts) if push_parts else np.empty(0),
-            "md": np.asarray(md, np.int32),
-            "mo": np.concatenate([[0], np.cumsum([len(c[0]) for c in msg_cols])]).astype(np.int64),
-            "mc": [np.concatenate([msg_cols[i][j] for i in range(len(msg_cols))])
-                   for j in range(len(msg_cols[0]))] if msg_cols else [],
-        }
-        return bundle, dests, sent
-
-    def _produce_payload(self, rnd: int):
-        """Pack ALL hosted fragments' round-`rnd` exchanges into ONE
-        payload: one ray.put per host per round, and only when some
-        destination lives on another host — co-hosted consumption reads
-        the local dict directly (no object-store hop)."""
-        import ray
-
-        t0 = time.perf_counter()
-        parts, bundles, dest_parts = [], [], set()
-        sent = 0
-        if self._pool is not None:
-            packed = list(self._pool.map(lambda p: self._pack_one(p, rnd), self.parts))
-        else:
-            packed = [self._pack_one(p, rnd) for p in self.parts]
-        for p, (bundle, dests, s) in zip(self.parts, packed):
-            if bundle is not None:
-                parts.append(p)
-                bundles.append(bundle)
-                dest_parts.update(dests)
-                sent += s
-        payload = {"parts": parts, "bundles": bundles}
-        self._own_payload[rnd] = payload
-        remote = any(self.host_of[d] != self.host_id for d in dest_parts)
-        ref = ray.put(payload) if remote else None
-        return ref, sorted(dest_parts), sent, time.perf_counter() - t0
-
     def _apply_one(self, part: int, rnd: int, pairs) -> int:
         f = self.frags[part]
+        got = self._received(part, pairs)
         outer_vals = None
-        msgs = []
-        pushes = []
-        for q, bundle in pairs:
-            i = int(np.searchsorted(bundle["sd"], f.part))
-            if i < len(bundle["sd"]) and bundle["sd"][i] == f.part:
-                vals = bundle["sv"][bundle["so"][i]: bundle["so"][i + 1]]
-                if outer_vals is None:
-                    outer_vals = np.zeros(f.ovnum, dtype=vals.dtype)
-                a, b = f.mirror_bounds[q], f.mirror_bounds[q + 1]
-                outer_vals[a:b] = vals
-            pdk = bundle.get("pd")
-            if pdk is not None and len(pdk):
-                p_i = int(np.searchsorted(pdk, f.part))
-                if p_i < len(pdk) and pdk[p_i] == f.part:
-                    lo, hi = bundle["po"][p_i], bundle["po"][p_i + 1]
-                    pushes.append((q, bundle["pv"][lo:hi]))
-            j = int(np.searchsorted(bundle["md"], f.part))
-            if j < len(bundle["md"]) and bundle["md"][j] == f.part:
-                lo, hi = bundle["mo"][j], bundle["mo"][j + 1]
-                msgs.append(tuple(c[lo:hi] for c in bundle["mc"]))
-        return self.programs[part].update(rnd, outer_vals, msgs, pushes)
-
-    def _gather_pairs(self, rnd: int, incoming: list):
-        """incoming = remote host payload refs; plus this host's own
-        round-`rnd` payload (kept local, never ray.put when all dests
-        are co-hosted).  Returns (source partition, bundle) pairs in
-        ascending source-partition order, so programs add received
-        partials in the same order at every ``num_hosts``."""
-        import ray
-
-        payloads = list(ray.get(incoming)) if incoming else []
-        own = self._own_payload.pop(rnd, None)
-        if own is not None:
-            payloads.append(own)
-        return sorted(((q, b) for pl in payloads
-                       for q, b in zip(pl["parts"], pl["bundles"])),
-                      key=lambda qb: qb[0])
-
-    def produce(self, rnd: int):
-        ref, dests, sent, dt = self._produce_payload(rnd)
-        return {"ref": ref, "dests": dests, "sent": sent, "produce_s": dt}
+        if "sync" in got:
+            outer_vals = np.zeros(f.ovnum, dtype=got["sync"][0][1].dtype)
+            f.place_outer(outer_vals, got["sync"])
+        return self.programs[part].update(rnd, outer_vals, got.get("msgs", []),
+                                          got.get("push", []))
 
     def _apply_all(self, rnd: int, pairs) -> int:
         if self._pool is not None:
@@ -476,12 +461,11 @@ class FragmentHost:
         if ckpt_dir:
             self.checkpoint(ckpt_dir, rnd)
         glob_out = self._harvest_globals()
-        ref, dests, sent, pack_s = self._produce_payload(rnd + 1)
-        muts_out = self._harvest_mutations()
-        return {"active": int(active), "ref": ref, "dests": dests,
-                "sent": sent, "muts": muts_out, "globals": glob_out,
-                "step_s": time.perf_counter() - t0,
-                "apply_s": t1 - t0, "pack_s": pack_s}
+        out = self.produce(rnd + 1)
+        return {"active": int(active), "ref": out["ref"], "dests": out["dests"],
+                "sent": out["sent"], "muts": self._harvest_mutations(),
+                "globals": glob_out, "step_s": time.perf_counter() - t0,
+                "apply_s": t1 - t0, "pack_s": out["produce_s"]}
 
     def _harvest_globals(self):
         """Drain the global-scalar partials the hosted programs queued
@@ -647,24 +631,28 @@ class GraphEngine:
         every owner learns which of its vertices each partition
         mirrors), then the mirror vdata sync over the new export lists.
         Runs at engine start and after every per-superstep mutation
-        round (mutated fragments may request a different mirror set)."""
-        self._exchange("mirror_requests_packed", "register_from")
-        if self._vdata_cols:
-            self._exchange("vdata_export", "vdata_fill")
-
-    def _exchange(self, publish: str, receive: str):
-        """One load-time exchange: every partition's ``publish`` bundle
-        ref goes to each destination's ``receive``; the driver routes
-        refs only, the data stays in plasma."""
+        round (mutated fragments may request a different mirror set).
+        Each phase is one produce and one receive call per host."""
         import ray
 
-        P = self.meta.num_partitions
-        out = ray.get([getattr(self._host(p), publish).remote(p) for p in range(P)])
-        to: list[list] = [[] for _ in range(P)]
-        for p, pk in enumerate(out):
-            for q in pk["dests"]:
-                to[q].append((p, pk["ref"]))
-        ray.get([getattr(self._host(q), receive).remote(q, to[q]) for q in range(P)])
+        for phase in ("mirror", "vdata") if self._vdata_cols else ("mirror",):
+            prod = ray.get([a.produce.remote(phase) for a in self.actors])
+            incoming, _ = self._route(prod)
+            ray.get([a.receive.remote(phase, incoming[h]) for h, a in enumerate(self.actors)])
+            _free_bundles(prod)
+
+    def _route(self, prod):
+        """Host-level routing of one exchange's ``produce`` results:
+        host h2 receives h1's payload ref iff some destination partition
+        of h1 lives on h2 (co-hosted destinations consume the local
+        payload, no ref).  Returns (refs per host, total rows sent)."""
+        incoming: list[list] = [[] for _ in self.actors]
+        for h, out in enumerate(prod):
+            if out["ref"] is None:
+                continue
+            for h2 in sorted({int(self.host_of[p]) for p in out["dests"]} - {h}):
+                incoming[h2].append(out["ref"])
+        return incoming, sum(out["sent"] for out in prod)
 
     def wait_prewarm(self):
         """Block until every fragment actor's background heap prewarm
@@ -755,45 +743,6 @@ class GraphEngine:
                 ray.get([a.init_program.remote(program, params) for a in self.actors]))
         metrics["resumed_from"] = resumed_from
 
-        def _free_bundles(outs):
-            """Eagerly release consumed exchange bundles from plasma.
-
-            The per-round ray.puts otherwise outlive their single
-            consumption by one-to-many rounds (distributed ref GC is
-            async), so the store keeps allocating FRESH pages — and on
-            hosts with virtio free-page reporting a fresh plasma page
-            faults at ~25 MB/s (see memtune).  Freeing right after the
-            consuming barrier lets the store's allocator hand the same
-            warm pages to the next round: measured 10x on the exchange
-            round (70ms vs 600ms for a 435MB/round all-to-all at P=32).
-            Safe because every consumer finished inside the barrier and
-            no program retains views into incoming bundles past
-            update() (audited; LCC concatenates what it keeps).
-            """
-            refs = [o["ref"] for o in outs if o.get("ref") is not None]
-            if not refs:
-                return
-            try:
-                from ray._private.internal_api import free as _plasma_free
-
-                _plasma_free(refs, local_only=True)
-            except Exception:
-                pass  # best-effort: normal ref GC still applies
-
-        def _route(prod):
-            """host-level routing: host h2 receives h1's payload ref iff
-            some destination partition of h1 lives on h2 (co-hosted
-            destinations consume the local payload, no ref)."""
-            incoming: list[list] = [[] for _ in range(H)]
-            sent = 0
-            for h, out in enumerate(prod):
-                sent += out["sent"]
-                if out["ref"] is None:
-                    continue
-                for h2 in sorted({int(self.host_of[p]) for p in out["dests"]} - {h}):
-                    incoming[h2].append(out["ref"])
-            return incoming, sent
-
         t_start = time.perf_counter()
         # fused-step loop: produce(r0) once, then one RPC barrier per
         # round (consume r + produce r+1 in the same actor call)
@@ -807,7 +756,7 @@ class GraphEngine:
         # rebuild fragments matching the saved state (use mutate_graph
         # for durable topology changes)
         for r in range(r0, max_rounds + 1):
-            incoming, sent = _route(prod)
+            incoming, sent = self._route(prod)
             do_ckpt = bool(ckpt_dir and checkpoint_every and r % checkpoint_every == 0
                            and staged is None and not mutated)
             res = ray.get(

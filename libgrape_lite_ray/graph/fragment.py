@@ -17,9 +17,9 @@ spool, cf. ImmutableEdgecutFragment::Init):
   gid ranges, mirrors of one owner form a contiguous slice — mirror
   request lists (csr_edgecut_fragment_base.h:228-268 IOEDests analog)
   are free.
-- a CSC-style transpose (``tgt_order/tgt_starts/tgt_unique``) built
-  once for vectorized push-style updates (np.minimum/add.reduceat over
-  edges grouped by destination).
+- a CSC-style transpose (``src_by_tgt/tgt_starts/tgt_unique``, edges
+  grouped by target) built once for vectorized push-style updates
+  (np.minimum/add.reduceat over values already in that order).
 """
 
 from __future__ import annotations
@@ -34,12 +34,42 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 
-__all__ = ["Fragment"]
+__all__ = ["Fragment", "merge_edge_ops"]
 
 _SNAP_ARRAYS = ("indices", "indptr", "outer_gids",
-                "tgt_order", "tgt_starts", "tgt_unique", "out_degree",
+                "tgt_starts", "tgt_unique", "out_degree",
                 "src_by_tgt", "src_of_edge")
-_SNAP_OPTIONAL = ("edge_w", "w_by_tgt")
+
+
+def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
+    """Apply a batch of edge ops to a gid-space edge list, last op wins
+    per (src, dst) key: the one merge behind ``mutate_graph`` and the
+    per-superstep ``Fragment.apply_edge_mutations``.
+
+    ``op``: int8 codes (0=add/upsert, 1=delete), in arrival order.
+    Every current row whose key an op touches is dropped (multi-edge
+    weighted keys: a delete drops every copy, an upsert replaces them
+    with one row); then each key whose last op is an add appends one
+    row with that op's weight.  Returns ``(src, dst, w | None)``: the
+    untouched current rows in their order, then the added rows in key
+    order.  ``cur_w`` None means an unweighted list."""
+    if V > 3_000_000_000:
+        raise NotImplementedError("int64 (src*V+dst) keying needs review beyond 3e9 vertices")
+    key = np.asarray(src, np.int64) * V + np.asarray(dst, np.int64)
+    order = np.argsort(key, kind="stable")
+    k_s = key[order]
+    last = np.ones(len(k_s), bool)
+    last[:-1] = k_s[1:] != k_s[:-1]
+    key_f, pick = k_s[last], order[last]
+    add = pick[np.asarray(op)[pick] == 0]
+    cur_key = cur_src * V + cur_dst
+    if len(key_f):
+        keep = key_f[np.minimum(np.searchsorted(key_f, cur_key), len(key_f) - 1)] != cur_key
+    else:
+        keep = np.ones(len(cur_key), bool)
+    return (np.concatenate([cur_src[keep], src[add]]),
+            np.concatenate([cur_dst[keep], dst[add]]),
+            np.concatenate([cur_w[keep], w[add]]) if cur_w is not None else None)
 
 
 class Fragment:
@@ -90,7 +120,6 @@ class Fragment:
             w = np.empty(0, np.float64) if has_weights else None
 
         self._finalize(src, dst, w)
-        self.loaded_from_snapshot = False
         # snapshot write is ASYNC: ~50-100MB of arrays per partition
         # would otherwise serialize into every FIRST load (5s+ across an
         # actor pool).  tmp-dir + atomic rename keeps a torn write
@@ -193,7 +222,6 @@ class Fragment:
         self.tvnum = self.ivnum + self.ovnum
         self.mirror_bounds = np.searchsorted(self.outer_gids, self.starts)
         self.export_lids = {}
-        self.loaded_from_snapshot = True
         # pre-fault every mapped array (one sequential pass each): pages
         # are otherwise faulted lazily DURING the first superstep, which
         # showed up as 5s+ straggler rounds.  Reads come from the page
@@ -292,15 +320,14 @@ class Fragment:
         self.src_of_edge = np.repeat(np.arange(self.ivnum, dtype=idx_t), rowlens)
 
         # transpose structure for push-style per-destination reductions
-        self.tgt_order = np.argsort(indices, kind="stable").astype(idx_t)
-        sorted_tgts = indices[self.tgt_order]
-        self.tgt_unique, self.tgt_starts = np.unique(sorted_tgts, return_index=True)
-        # CSC-ordered source ids + weights: the dense push sweep then
-        # does ONE gather (vals[src_by_tgt]) instead of gather+permute —
-        # the superstep kernels are memory-bandwidth bound, so this is a
-        # direct wall-time cut on WCC/SSSP/BFS
-        self.src_by_tgt = self.src_of_edge[self.tgt_order]
-        self.w_by_tgt = w[self.tgt_order] if w is not None else None
+        tgt_order = np.argsort(indices, kind="stable").astype(idx_t)
+        self.tgt_unique, self.tgt_starts = np.unique(indices[tgt_order], return_index=True)
+        # CSC-ordered source ids + weights: a push sweep does ONE gather
+        # (vals[src_by_tgt]) instead of gather+permute — the superstep
+        # kernels are memory-bandwidth bound, so this is a direct
+        # wall-time cut on WCC/SSSP/BFS
+        self.src_by_tgt = self.src_of_edge[tgt_order]
+        self.w_by_tgt = w[tgt_order] if w is not None else None
 
         # mirror slices per owner partition (contiguous in outer_gids)
         self.mirror_bounds = np.searchsorted(self.outer_gids, self.starts)
@@ -327,43 +354,20 @@ class Fragment:
         Worker::processMutation (grape/worker/worker.h:176-187).
 
         ``op``: int8 codes (0=add/upsert, 1=delete); src/dst in gid
-        space, already routed so every src is inner here.  Last-op-wins
-        per (src, dst) key, matching mutate.py's spool-level semantics
-        (multi-edge weighted keys: a delete drops every copy, an upsert
-        replaces them with one row).  The rebuild is in-memory only —
-        snapshots/spool are untouched, so a NEW engine on the same
-        work_dir sees the pre-mutation graph (durable mutation is
-        mutate_graph's job).
+        space, already routed so every src is inner here; merged by
+        ``merge_edge_ops``, as mutate.py merges a spool.  The rebuild is
+        in-memory only — snapshots/spool are untouched, so a NEW engine
+        on the same work_dir sees the pre-mutation graph (durable
+        mutation is mutate_graph's job).
         """
-        V = int(self.starts[-1])
-        if V > 3_000_000_000:
-            raise NotImplementedError("int64 (src*V+dst) keying needs review beyond 3e9 vertices")
-        cs, cd, cw = self.edge_list()
-        key = src.astype(np.int64) * V + dst.astype(np.int64)
-        seq = np.arange(len(key), dtype=np.int64)
-        order = np.lexsort((seq, key))
-        k_s, s_s, d_s, w_s, op_s = key[order], src[order], dst[order], w[order], op[order]
-        last = np.concatenate([k_s[1:] != k_s[:-1], [True]]) if len(k_s) else np.zeros(0, bool)
-        key_f, s_f, d_f, w_f = k_s[last], s_s[last], d_s[last], w_s[last]
-        keep = op_s[last] == 0
-        cur_key = cs * V + cd
-        pos = np.searchsorted(key_f, cur_key)
-        if len(key_f):
-            pos = np.minimum(pos, len(key_f) - 1)
-            touched = key_f[pos] == cur_key
-        else:
-            touched = np.zeros(len(cur_key), bool)
-        ns = np.concatenate([cs[~touched], s_f[keep]])
-        nd = np.concatenate([cd[~touched], d_f[keep]])
-        nw = (np.concatenate([cw[~touched], w_f[keep]])
-              if cw is not None else None)
+        ns, nd, nw = merge_edge_ops(*self.edge_list(), op, src, dst, w,
+                                    int(self.starts[-1]))
         t = getattr(self, "_snap_thread", None)
         if t is not None and t.is_alive():
             t.join()  # writer reads _snap_path; let the PRE-mutation
             # snapshot finish (it matches the spool, so it stays valid)
         self._snap_path = None  # mutated CSR must never shadow the spool
         self._finalize(ns, nd, nw)
-        self.loaded_from_snapshot = False
         # vdata_full buffers are tvnum-sized: re-seat the inner segment;
         # the engine re-syncs the outer (mirror) segment after the
         # fleet-wide mirror re-registration
@@ -399,6 +403,14 @@ class Fragment:
         for requester, gids in reqs.items():
             self.export_lids[int(requester)] = np.asarray(gids, dtype=np.int64) - self.lo
 
+    def place_outer(self, outer: np.ndarray, pairs) -> None:
+        """Write each ``(owner part, slice)`` of ``pairs`` into its
+        contiguous mirror range of the outer-segment buffer ``outer``
+        (len ovnum): the consumer side of the sync channel and the
+        vdata sync."""
+        for q, vals in pairs:
+            outer[self.mirror_bounds[q]: self.mirror_bounds[q + 1]] = vals
+
     def export_values(self, values: np.ndarray) -> dict[int, np.ndarray]:
         """Dense mirror sync (batch_shuffle_message_manager.h:225-285
         SyncInnerVertices analog): slice inner `values` per requester."""
@@ -425,32 +437,10 @@ class Fragment:
         out[valid] = sums
         return out
 
-    def push_min(self, buf: np.ndarray, edge_vals: np.ndarray):
-        """buf[target] = min(buf[target], edge_vals[e]) for every edge,
-        vectorized via the precomputed transpose (reduceat per target)."""
-        if len(edge_vals) == 0:
-            return
-        v = edge_vals[self.tgt_order]
-        mins = np.minimum.reduceat(v, self.tgt_starts)
-        buf[self.tgt_unique] = np.minimum(buf[self.tgt_unique], mins)
-
-    def push_min_track(self, buf: np.ndarray, edge_vals: np.ndarray) -> np.ndarray:
-        """push_min that also returns the local ids whose value dropped
-        (avoids the full-array snapshot+compare per fixpoint sweep)."""
-        if len(edge_vals) == 0:
-            return np.empty(0, np.int64)
-        v = edge_vals[self.tgt_order]
-        mins = np.minimum.reduceat(v, self.tgt_starts)
-        cur = buf[self.tgt_unique]
-        mask = mins < cur
-        ids = self.tgt_unique[mask]
-        buf[ids] = mins[mask]
-        return ids
-
     def push_min_track_csc(self, buf: np.ndarray, edge_vals_csc: np.ndarray) -> np.ndarray:
-        """push_min_track for values ALREADY in CSC (target-sorted)
-        order — pair with ``vals[src_by_tgt]`` so the dense sweep is one
-        gather + one reduceat, no permutation pass."""
+        """buf[target] = min(buf[target], its in-edges' values) for values
+        ALREADY in CSC order; returns the local ids whose value dropped
+        (no full-array snapshot+compare per fixpoint sweep)."""
         if len(edge_vals_csc) == 0:
             return np.empty(0, np.int64)
         mins = np.minimum.reduceat(edge_vals_csc, self.tgt_starts)
@@ -460,12 +450,12 @@ class Fragment:
         buf[ids] = mins[mask]
         return ids
 
-    def push_sum(self, buf: np.ndarray, edge_vals: np.ndarray):
-        if len(edge_vals) == 0:
+    def push_sum(self, buf: np.ndarray, edge_vals_csc: np.ndarray):
+        """buf[target] += the sum of its in-edges' values, with the
+        values ALREADY in CSC order (e.g. ``vals[src_by_tgt]``)."""
+        if len(edge_vals_csc) == 0:
             return
-        v = edge_vals[self.tgt_order]
-        sums = np.add.reduceat(v, self.tgt_starts)
-        buf[self.tgt_unique] += sums
+        buf[self.tgt_unique] += np.add.reduceat(edge_vals_csc, self.tgt_starts)
 
     def gather_edges(self, rows: np.ndarray):
         """Edge indices of the CSR rows in ``rows``; returns

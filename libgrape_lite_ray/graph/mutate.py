@@ -32,6 +32,7 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 from .build import GraphMeta, publish_graph_dir
+from .fragment import merge_edge_ops
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -63,12 +64,10 @@ def load_delta_file(path: str) -> pa.Table:
 
 
 def _mutate_partition(spool_dir: str, p: int, out_pdir: str, has_w: bool,
-                      key_final: np.ndarray, s_final: np.ndarray,
-                      d_final: np.ndarray, w_final: np.ndarray,
-                      keep_mask: np.ndarray, V: int) -> int:
-    """Merge one partition's spool with its resolved delta ops; returns
-    the new row count.  key_final sorted ascending; keep_mask marks keys
-    whose final op is add/update (False = delete)."""
+                      op: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                      w: np.ndarray, V: int) -> int:
+    """Merge one partition's spool with its ops (``merge_edge_ops``, in
+    arrival order); returns the new row count."""
     files = sorted(glob.glob(os.path.join(spool_dir, f"part={p}", "*.parquet")))
     cols = ["src_gid", "dst_gid"] + (["w"] if has_w else [])
     if files:
@@ -79,15 +78,11 @@ def _mutate_partition(spool_dir: str, p: int, out_pdir: str, has_w: bool,
     else:
         cs = cd = np.empty(0, np.int64)
         cw = np.empty(0, np.float64) if has_w else None
-    cur_key = cs * V + cd
-    pos = np.searchsorted(key_final, cur_key)
-    pos = np.minimum(pos, len(key_final) - 1) if len(key_final) else pos
-    touched = (key_final[pos] == cur_key) if len(key_final) else np.zeros(len(cur_key), bool)
     # unsorted, like every spool: the fragment sorts its slice at load
-    ns = np.concatenate([cs[~touched], s_final[keep_mask]])
-    out = {"src_gid": ns, "dst_gid": np.concatenate([cd[~touched], d_final[keep_mask]])}
+    ns, nd, nw = merge_edge_ops(cs, cd, cw, op, src, dst, w, V)
+    out = {"src_gid": ns, "dst_gid": nd}
     if has_w:
-        out["w"] = np.concatenate([cw[~touched], w_final[keep_mask]])
+        out["w"] = nw
     os.makedirs(out_pdir, exist_ok=True)
     if len(ns):
         pq.write_table(pa.table(out),
@@ -112,7 +107,7 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
     g = meta.gids_of(pa.chunked_array(delta.column("src").chunks + delta.column("dst").chunks,
                                       delta.column("src").type))
     sg, dg = g[:n], g[n:]
-    op = np.asarray(delta.column("op").to_pylist())
+    op = (np.asarray(delta.column("op").to_pylist()) == "d").astype(np.int8)
     w = (delta.column("w").to_numpy(zero_copy_only=False).astype(np.float64)
          if "w" in delta.column_names else np.zeros(n))
     if not meta.directed:
@@ -120,31 +115,19 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
         op = np.concatenate([op, op])
         w = np.concatenate([w, w])
 
-    V = int(meta.num_vertices)
-    if V > 3_000_000_000:
-        raise NotImplementedError("int64 (src*V+dst) keying needs review beyond 3e9 vertices")
-    key = sg * V + dg
-    seq = np.arange(len(key), dtype=np.int64)
-    # last-op-wins per key: sort by (key, seq), take the last of each run
-    order = np.lexsort((seq, key))
-    k_s, s_s, d_s, w_s, op_s = key[order], sg[order], dg[order], w[order], op[order]
-    last = np.concatenate([k_s[1:] != k_s[:-1], [True]]) if len(k_s) else np.zeros(0, bool)
-    key_f, s_f, d_f, w_f, op_f = k_s[last], s_s[last], d_s[last], w_s[last], op_s[last]
-    keep_mask = op_f != "d"
-
-    owners = part_of(s_f, meta.starts)
-    affected = np.unique(owners)
+    # split the ops by owner, keeping their order (last op wins)
+    owners = part_of(sg, meta.starts)
     spool = meta.spool_dir
     out_spool = os.path.join(work, "edges")
     os.makedirs(out_spool, exist_ok=True)
 
     mut = ray.remote(_mutate_partition)
     futs = {}
-    for p in affected:
+    for p in np.unique(owners):
         m = owners == p
         futs[int(p)] = mut.remote(
             spool, int(p), os.path.join(out_spool, f"part={int(p)}"),
-            meta.has_weights, key_f[m], s_f[m], d_f[m], w_f[m], keep_mask[m], V,
+            meta.has_weights, op[m], sg[m], dg[m], w[m], int(meta.num_vertices),
         )
 
     # hard-link untouched partitions' spool files and CSR snapshots

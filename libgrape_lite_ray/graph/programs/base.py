@@ -1,19 +1,26 @@
 """VertexProgram protocol + MinPropagation base.
 
-The contract (driver round r = 1, 2, ...):
+The contract (driver round r = 1, 2, ...).  A program fills three
+channels of round r's exchange:
 
 1. ``mirror_values(r)`` -> inner value array or None.  If not None the
    driver syncs slices to every partition holding mirrors (the
    BatchShuffle dense exchange,
    grape/app/batch_shuffle_app_base.h:29-83).
-2. ``messages(r)`` -> {dst_part: tuple_of_np_arrays} sparse messages,
+2. ``mirror_push(r)`` -> outer-segment value array or None: the reverse
+   dense channel, one contiguous slice per owner, no gids.
+3. ``messages(r)`` -> {dst_part: tuple_of_np_arrays} sparse messages,
    already combined per destination (the combiner the reference applies
    via SyncBuffer aggregators, grape/parallel/sync_buffer.h:53-129).
-3. ``update(r, outer_vals, msgs)`` -> active count.  ``outer_vals`` is
-   the assembled full-length buffer segment for mirrors (or None),
-   ``msgs`` the list of received tuples.  The driver terminates when
-   the global active total is 0 (zero-pending termination,
-   grape/parallel/default_message_manager.h:324-350).
+
+Then ``update(r, outer_vals, msgs, pushes)`` -> active count.
+``outer_vals`` is the assembled outer segment of the synced values
+(or None when nothing was synced).  ``msgs`` and ``pushes`` are lists
+of ``(source part, payload)`` pairs in ascending source order: a
+message payload is the sender's tuple, a push payload the slice for
+this owner, aligned with ``frag.export_lids[source]``.  The driver
+terminates when the global active total is 0 (zero-pending
+termination, grape/parallel/default_message_manager.h:324-350).
 
 Global scalars travel on one channel (grape/communication/communicator.h
 Sum): a program queues float partials with ``queue_global`` during
@@ -127,6 +134,8 @@ class VertexProgram:
 
     def update(self, rnd: int, outer_vals, msgs: list[tuple],
                pushes: list[tuple] = ()) -> int:
+        """Apply round ``rnd``'s exchange; ``msgs`` and ``pushes`` are
+        ``(source part, payload)`` pairs (see the module docstring)."""
         raise NotImplementedError
 
     def output(self) -> dict[str, np.ndarray]:
@@ -332,8 +341,8 @@ class MinPropagation(VertexProgram):
                 self.vals[hit] = vv[m]
                 fronts.append(hit)
         if msgs:
-            gids = np.concatenate([m[0] for m in msgs])
-            vv = np.concatenate([m[1] for m in msgs])
+            gids = np.concatenate([m[0] for _, m in msgs])
+            vv = np.concatenate([m[1] for _, m in msgs])
             lids = np.unique(gids - f.lo)
             before = self.vals[lids].copy()
             np.minimum.at(self.vals, gids - f.lo, vv)

@@ -59,7 +59,7 @@ class HITS(VertexProgram):
         a fresh tvnum buffer — the a-phase export."""
         f = self.frag
         self.buf = np.zeros(f.tvnum, dtype=np.float64)
-        f.push_sum(self.buf, np.repeat(self.h_raw, np.diff(f.indptr)))
+        f.push_sum(self.buf, self.h_raw[f.src_by_tgt])
 
     def init(self):
         f = self.frag

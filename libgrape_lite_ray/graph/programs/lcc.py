@@ -92,10 +92,7 @@ class LCC(VertexProgram):
             gids = f.outer_gids[outer_needed - f.ivnum]
             owners = f.owner_of(gids)
             for q in np.unique(owners):
-                sel = gids[owners == q]
-                # second column carries the requester id (payloads are
-                # anonymous arrays; the owner needs to know who asked)
-                out[int(q)] = (sel, np.full(len(sel), f.part, dtype=np.int64))
+                out[int(q)] = (gids[owners == q],)
             return out
         if self.stage == 2:
             # ship oriented adjacency for the vertices each requester asked
@@ -126,11 +123,9 @@ class LCC(VertexProgram):
             self.stage = 1
             return 1
         if self.stage == 1:
-            self.requested = {}
-            for m in msgs:
-                if len(m[0]):
-                    requester = int(m[1][0])
-                    self.requested[requester] = np.asarray(m[0], dtype=np.int64) - f.lo
+            # each request arrives tagged with its requester
+            self.requested = {q: np.asarray(m[0], dtype=np.int64) - f.lo
+                              for q, m in msgs if len(m[0])}
             self.stage = 2
             return 1
         if self.stage == 2:
@@ -139,8 +134,8 @@ class LCC(VertexProgram):
             return 1
         if self.stage == 3:
             if msgs:
-                gids = np.concatenate([m[0] for m in msgs])
-                cnts = np.concatenate([m[1] for m in msgs])
+                gids = np.concatenate([m[0] for _, m in msgs])
+                cnts = np.concatenate([m[1] for _, m in msgs])
                 np.add.at(self.tricnt, gids - f.lo, cnts)
             deg = f.out_degree
             t = self.tricnt[: f.ivnum]
@@ -211,7 +206,7 @@ class LCC(VertexProgram):
         f = self.frag
         V = int(f.starts[-1])
         o_lid, o_gid, o_indptr = self.o_nbr_local_inner, self.o_nbr_gid_inner, self.o_indptr
-        ru = np.concatenate([np.empty(0, np.int64)] + [np.asarray(m[0], np.int64) for m in msgs])
+        ru = np.concatenate([np.empty(0, np.int64)] + [np.asarray(m[0], np.int64) for _, m in msgs])
         udeg = np.zeros(f.tvnum, np.int64)
         udeg[: f.ivnum] = np.diff(o_indptr)
         if len(ru):
@@ -221,7 +216,7 @@ class LCC(VertexProgram):
             first = np.flatnonzero(np.concatenate([[True], step > 0]))
             udeg[f.ivnum + np.searchsorted(f.outer_gids, ru[first])] = np.diff(
                 np.append(first, len(ru)))
-        adj = np.concatenate([o_gid] + [np.asarray(m[1], np.int64) for m in msgs])
+        adj = np.concatenate([o_gid] + [np.asarray(m[1], np.int64) for _, m in msgs])
         adj_indptr = np.concatenate([[0], np.cumsum(udeg)])
         # cumulative wedges over oriented edges; a block's count is a difference
         cw = np.concatenate([[0], np.cumsum(udeg[o_lid])])

@@ -13,8 +13,8 @@ convention), mass here flows along OUT-edges like a real surfer, so
 the program uses the engine's dense mirror-PUSH channel
 (batch_shuffle_message_manager.h:225-285 push direction): each round
 every fragment scatters r(u)/outdeg(u) along its local out-CSR into a
-tvnum accumulator (``Fragment.push_sum`` — add.reduceat over the CSC
-permutation), ships the outer segment to owners as contiguous
+tvnum accumulator (``Fragment.push_sum`` — add.reduceat over per-edge
+values gathered in CSC order), ships the outer segment to owners as contiguous
 per-owner slices (no gid column), and owners add the received partials
 through ``export_lids``.  Edge-cut by src means a vertex's whole
 out-adjacency is local, so the local CSR degree IS the global
@@ -70,22 +70,22 @@ class PPR(FixedRounds):
         f = self.frag
         self.buf = np.zeros(f.tvnum, dtype=np.float64)
         if self.weighted:
-            edge_vals = np.asarray(self.rank)[f.src_of_edge] * self._trans
+            edge_vals = np.asarray(self.rank)[f.src_by_tgt] * self._trans
         else:
-            contrib = self.rank / np.maximum(f.out_degree, 1)  # dangling rows repeat 0x
-            edge_vals = np.repeat(contrib, np.diff(f.indptr))
+            contrib = self.rank / np.maximum(f.out_degree, 1)  # dangling rows: no edges
+            edge_vals = contrib[f.src_by_tgt]
         f.push_sum(self.buf, edge_vals)
 
     def _edge_transitions(self):
-        """Cached per-edge transition probabilities w(e)/W(src(e)) —
-        computed once per fragment load, reused every round."""
+        """Cached per-edge transition probabilities w(e)/W(src(e)) in CSC
+        order — computed once per fragment load, reused every round.
+        W sums each row's weights in CSR order."""
         f = self.frag
         w = np.asarray(f.edge_w, np.float64)
         if len(w) and w.min() < 0:
             raise ValueError("weighted ppr requires non-negative edge weights")
-        src = np.asarray(f.src_of_edge, np.int64)
-        W = np.bincount(src, weights=w, minlength=f.ivnum)
-        return w / np.maximum(W[src], 1e-300)
+        W = np.bincount(np.asarray(f.src_of_edge, np.int64), weights=w, minlength=f.ivnum)
+        return np.asarray(f.w_by_tgt, np.float64) / np.maximum(W[f.src_by_tgt], 1e-300)
 
     def init(self):
         self.e = self._teleport()

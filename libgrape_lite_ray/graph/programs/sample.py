@@ -260,8 +260,8 @@ class MultiHopSampler(VertexProgram):
         if self.done:
             return 0
         if msgs:
-            roots = np.concatenate([np.asarray(m[0], np.int64) for m in msgs])
-            vs = np.concatenate([np.asarray(m[1], np.int64) for m in msgs])
+            roots = np.concatenate([np.asarray(m[0], np.int64) for _, m in msgs])
+            vs = np.concatenate([np.asarray(m[1], np.int64) for _, m in msgs])
         else:
             # _pend_* only carry the hop-1 seed frontier; at hop >= 2 an
             # empty inbox means no frontier reached this partition.

@@ -3,12 +3,13 @@
 fragments in this process, with no Ray actors and no object store, and
 print the CPU seconds each partition's ``update`` takes per round.
 
-This sizes a program's superstep kernels apart from the exchange, the
-driver barrier and actor scheduling.  Every partition gets its own
-in-process ``FragmentHost``; the exchange bundles go from host to host
-as local dicts, in ascending source-partition order, exactly as the
-engine delivers them.  Programs that read vertex data columns are not
-supported (no mirror vdata sync runs).
+This sizes a program's superstep kernels apart from the driver
+barrier and actor scheduling.  One in-process ``FragmentHost`` hosts
+every partition, so the engine's own exchange (the same packing, the
+same mirror registration, the same ascending source-partition
+delivery) runs on local dicts and never touches the object store.
+Programs that read vertex data columns are not supported (no vdata
+sync runs).
 
 Usage:
     python scripts/kernel_bench.py GRAPH_DIR PROGRAM [--params JSON] [--reps N]
@@ -38,45 +39,39 @@ from libgrape_lite_ray.graph.driver import FragmentHost, _reduce_globals  # noqa
 from libgrape_lite_ray.memtune import keep_heap_resident  # noqa: E402
 
 
-def load_hosts(meta: GraphMeta) -> list[FragmentHost]:
-    """One FragmentHost per partition, all on host 0 (so no payload is
-    ever ``ray.put``), with the mirror export lists registered.  Hosts
-    built outside a Ray worker start no heap prewarm."""
+def load_host(meta: GraphMeta) -> FragmentHost:
+    """One FragmentHost holding every partition (so no payload is ever
+    ``ray.put``), with the mirror export lists registered by the
+    engine's load-time exchange.  A host built outside a Ray worker
+    starts no heap prewarm."""
     P = meta.num_partitions
-    hosts = [FragmentHost(0, [p], np.zeros(P, np.int64), meta.work_dir,
-                          meta.starts.tolist(), meta.has_weights)
-             for p in range(P)]
-    for p, h in enumerate(hosts):
-        for owner, gids in h.frags[p].mirror_requests().items():
-            hosts[owner].frags[owner].register_requests({p: gids})
-    return hosts
+    host = FragmentHost(0, range(P), np.zeros(P, np.int64), meta.work_dir,
+                        meta.starts.tolist(), meta.has_weights)
+    host.produce("mirror")
+    host.receive("mirror", [])
+    return host
 
 
-def run_once(hosts: list[FragmentHost], program: str, params: dict,
-             max_rounds: int) -> dict:
-    glob = _reduce_globals([h.init_program(program, params) for h in hosts])
+def run_once(host: FragmentHost, program: str, params: dict, max_rounds: int) -> dict:
+    glob = _reduce_globals([host.init_program(program, params)])
     update_cpu, pack_cpu = [], []
     for r in range(1, max_rounds + 1):
         t0 = time.process_time()
-        for h in hosts:
-            h._produce_payload(r)
+        host.produce(r)
         pack_cpu.append(round(time.process_time() - t0, 4))
-        pairs = sorted(((q, b) for h in hosts
-                        for pl in [h._own_payload.pop(r)]
-                        for q, b in zip(pl["parts"], pl["bundles"])),
-                       key=lambda qb: qb[0])
+        pairs = host._gather_pairs(r, [])
         active, row = 0, []
-        for p, h in enumerate(hosts):
+        for p in host.parts:
             if glob:
-                h.programs[p].set_globals(glob)
+                host.programs[p].set_globals(glob)
             t0 = time.process_time()
-            active += h._apply_one(p, r, pairs)
+            active += host._apply_one(p, r, pairs)
             row.append(round(time.process_time() - t0, 4))
         update_cpu.append(row)
-        glob = _reduce_globals([h._harvest_globals() for h in hosts])
+        glob = _reduce_globals([host._harvest_globals()])
         if active == 0:
             break
-    return {"program": program, "partitions": len(hosts), "rounds": len(update_cpu),
+    return {"program": program, "partitions": len(host.parts), "rounds": len(update_cpu),
             "update_cpu_s": update_cpu, "pack_cpu_s": pack_cpu,
             "update_total_cpu_s": round(sum(map(sum, update_cpu)), 4)}
 
@@ -90,9 +85,9 @@ def main():
     ap.add_argument("--max-rounds", type=int, default=100)
     a = ap.parse_args()
     keep_heap_resident()  # the malloc tuning every fragment actor runs with
-    hosts = load_hosts(GraphMeta.load(a.graph_dir))
+    host = load_host(GraphMeta.load(a.graph_dir))
     for _ in range(a.reps):
-        print(json.dumps(run_once(hosts, a.program, json.loads(a.params), a.max_rounds)),
+        print(json.dumps(run_once(host, a.program, json.loads(a.params), a.max_rounds)),
               flush=True)
 
 

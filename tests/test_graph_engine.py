@@ -134,7 +134,7 @@ def test_string_oids_and_attach(ray_session, tmp_work):
     meta = build_graph(ds, os.path.join(tmp_work, "str"), 3, symmetrize=True)
     eng = GraphEngine(meta)
     out, _ = eng.run("wcc")
-    tbl = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow", batch_size=10**6)])
+    tbl = out.to_arrow()
     tbl = attach_oids(tbl, meta)
     df = tbl.to_pandas()
     want = oracle.wcc(src, dst, 100)
@@ -163,7 +163,7 @@ def test_attach_oids_ds_matches_gather(ray_session, tmp_work):
     eng = GraphEngine(meta)
     try:
         out, _ = eng.run("wcc")
-        tbl = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow", batch_size=10**6)))
+        tbl = out.to_arrow()
         want = attach_oids(tbl, meta).to_pandas().sort_values("gid").reset_index(drop=True)
         got = (attach_oids(out.to_dataset(), meta).to_pandas()
                .sort_values("gid").reset_index(drop=True))

@@ -5,7 +5,7 @@ received lists), and a skewed P = 8 graph whose received lists carry far
 corners the requester does not hold.
 
 The program runs in this process on ``scripts/kernel_bench.py``'s
-in-process hosts, so the block budget can be shrunk and each
+in-process host, so the block budget can be shrunk and each
 partition's state inspected.  The P = 8 case also runs on the engine's
 actors."""
 
@@ -26,8 +26,8 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.fixture()
 def kernel_bench():
-    """The script's in-process runner: hosts built here, outside a Ray
-    worker, leave the test process's heap alone."""
+    """The script's in-process runner: a host built here, outside a Ray
+    worker, leaves the test process's heap alone."""
     spec = importlib.util.spec_from_file_location(
         "kernel_bench", os.path.join(_ROOT, "scripts", "kernel_bench.py"))
     mod = importlib.util.module_from_spec(spec)
@@ -41,11 +41,11 @@ def _build(tmp_work, src, dst, P, sub):
 
 
 def _run(kernel_bench, meta):
-    """Run LCC on in-process hosts; returns the per-partition programs."""
-    hosts = kernel_bench.load_hosts(meta)
-    res = kernel_bench.run_once(hosts, "lcc", {}, 10)
+    """Run LCC on an in-process host; returns the per-partition programs."""
+    host = kernel_bench.load_host(meta)
+    res = kernel_bench.run_once(host, "lcc", {}, 10)
     assert res["rounds"] == 4
-    return [h.programs[p] for p, h in enumerate(hosts)]
+    return [host.programs[p] for p in host.parts]
 
 
 def _check(progs, src, dst, n):
@@ -124,7 +124,7 @@ def test_skewed_p8_rejects_far_corners_the_requester_lacks(ray_session, tmp_work
                                                           filter_bits):
     """Some shipped (u, w) entries name a w that is neither inner nor a
     mirror at the requester; the filter must reject them, on the
-    in-process hosts and on the engine's actors alike.  With a 4-slot
+    in-process host and on the engine's actors alike.  With a 4-slot
     filter nearly every probe collides with a member's slot, so the
     exact check alone must reject the misses."""
     n = 400

@@ -23,13 +23,13 @@ def test_snapshot_roundtrip(ray_session, tmp_work):
     meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "snap"),
                        4, directed=True)
     f1 = Fragment(1, meta.work_dir, meta.starts, False)
-    assert not f1.loaded_from_snapshot
+    assert not isinstance(f1.indices, np.memmap)  # built from the spool
     f1._snap_thread.join(30)  # snapshot writes are async now
     snaps = [p for p in glob.glob(os.path.join(meta.work_dir, "snapshot", "part=1-*"))
              if ".tmp-" not in p]
     assert len(snaps) == 1
     f2 = Fragment(1, meta.work_dir, meta.starts, False)
-    assert f2.loaded_from_snapshot
+    assert isinstance(f2.indices, np.memmap)  # mapped from the snapshot
     for k in _SNAP_ARRAYS:
         assert np.array_equal(getattr(f1, k), getattr(f2, k)), k
     assert f1.tvnum == f2.tvnum and f1.num_local_edges == f2.num_local_edges
@@ -63,5 +63,5 @@ def test_snapshot_invalidated_by_rebuild(ray_session, tmp_work):
     dst2 = np.concatenate([dst, [50]])
     meta2 = build_graph(edges_from_numpy(src2, dst2), d, 2, directed=True)
     f2 = Fragment(0, meta2.work_dir, meta2.starts, False)
-    assert not f2.loaded_from_snapshot  # fingerprint mismatch -> rebuilt
+    assert not isinstance(f2.indices, np.memmap)  # fingerprint mismatch -> rebuilt
     assert f2.out_degree.sum() != deg1.sum() or not np.array_equal(f2.out_degree, deg1)

@@ -241,3 +241,53 @@ def test_apply_round_harvest_not_deferred(ray_session, tmp_work):
     want, _ = _sssp(eng2)
     eng2.shutdown()
     np.testing.assert_allclose(got, want)
+
+
+def test_mutate_graph_matches_in_process_apply(ray_session, tmp_work):
+    """One delta through ``mutate_graph`` (the spool rewrite) and the
+    same ops through ``Fragment.apply_edge_mutations`` on the base
+    graph's fragments give equal edge lists, on a weighted symmetrized
+    graph: both run the one last-op-wins merge."""
+    from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
+    from libgrape_lite_ray.graph.fragment import Fragment
+    from libgrape_lite_ray.graph.mutate import mutate_graph, parse_delta_lines
+    from libgrape_lite_ray.ids import part_of
+
+    n = 30
+    src, dst, w = _ring_edges(n, [(0, 15, 2.0), (3, 20, 0.5), (7, 25, 1.25)])
+    meta = build_graph(edges_from_numpy(src, dst, w), f"{tmp_work}/base", 3,
+                       symmetrize=True, dense_int_oids=True, weight_col="w")
+    assert not meta.directed
+    delta = parse_delta_lines([
+        "a 1 9 0.5", "a 1 9 0.75",    # repeated key: the last add wins
+        "a 4 12 1.0", "d 4 12",       # add then delete: absent
+        "d 0 15", "a 0 15 3.5",       # delete then add an existing edge
+        "u 3 20 9.0",                 # weighted upsert of an existing edge
+        "d 7 25",                     # delete an existing edge
+        "a 28 2 4.0",
+    ])
+    new = mutate_graph(meta, delta, f"{tmp_work}/mutated")
+
+    op = (np.asarray(delta.column("op").to_pylist()) == "d").astype(np.int8)
+    s = delta.column("src").to_numpy()
+    d = delta.column("dst").to_numpy()
+    ww = delta.column("w").to_numpy()
+    # symmetrized: every op in both directions, routed to the src owner
+    op, s, d, ww = (np.concatenate([op, op]), np.concatenate([s, d]),
+                    np.concatenate([d, s]), np.concatenate([ww, ww]))
+    owner = part_of(s, meta.starts)
+    for p in range(meta.num_partitions):
+        f = Fragment(p, meta.work_dir, meta.starts, True)
+        m = owner == p
+        f.apply_edge_mutations(op[m], s[m], d[m], ww[m])
+        g = Fragment(p, new.work_dir, new.starts, True)
+        for a, b in zip(f.edge_list(), g.edge_list()):
+            assert np.array_equal(a, b), p
+    # the delta took effect: (1, 9) once at 0.75, (4, 12) and (7, 25) gone
+    es, ed, ew = (np.concatenate(x) for x in zip(*(
+        Fragment(p, new.work_dir, new.starts, True).edge_list()
+        for p in range(new.num_partitions))))
+    key = dict(zip(zip(es.tolist(), ed.tolist()), ew.tolist()))
+    assert key[(1, 9)] == key[(9, 1)] == 0.75 and ((es == 1) & (ed == 9)).sum() == 1
+    assert (4, 12) not in key and (7, 25) not in key and (25, 7) not in key
+    assert key[(0, 15)] == 3.5 and key[(3, 20)] == 9.0 and key[(2, 28)] == 4.0

@@ -73,7 +73,7 @@ def test_vdata_sum_string_oids(ray_session, tmp_work):
     eng = GraphEngine(meta)
     try:
         out, _ = eng.run("vdata_sum", {"col": "val"})
-        tbl = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow", batch_size=10**6)))
+        tbl = out.to_arrow()
         tbl = attach_oids(tbl, meta)
         df = tbl.to_pandas()
         # zero-padded urls sort like ints so gid == int id
