@@ -1,55 +1,53 @@
 """Distributed graph build: edge Dataset -> vertex dict + gid space +
-partitioned edge spool.
+partitioned edge spool, in place of the reference's MPI load pipeline
+(grape/fragment/ev_fragment_loader.h:71-186, basic_fragment_loader.h):
 
-Ray-Data-native replacement for the reference load pipeline
-(grape/fragment/ev_fragment_loader.h:71-186 +
-basic_fragment_loader.h:83-364): instead of MPI shuffles we use
+  1. one task per group of edge blocks emits pre-deduped (oid, degree)
+     endpoint partials; their row count bounds V,
+  2. within ``_BROADCAST_VERTICES``, ONE task merges them into the
+     vertex dictionary (gid = rank in oid order, see ids.py) and writes
+     it, as the reference gathers its vertex map in one step
+     (basic_fragment_loader.h:221-236); above it, one global Ray Data
+     sort of the partials, numbered block by block,
+  3. degree-aware contiguous partition starts (rebalancer.h analog)
+     from ONE gid-bucket histogram of ``deg + 1`` weight on every path
+     (``_gid_histogram`` -> ``_histogram_starts``): the exact
+     per-vertex split up to 2**20 vertices, bucket ends above,
+  4. ONE oid->gid translate (``_translate``, also for vertex data):
+     ``pc.index_in`` against the broadcast sorted oids, or one
+     Dataset.join per oid column above the threshold,
+  5. a ROUTE-ONLY partitioned Parquet spool: each row goes to its
+     owner's ``part=p/`` (basic_fragment_loader.h:155-172); no sort runs
+     over the edges.  Each fragment sorts and dedups its own slice at
+     load (immutable_csr.h:100-107, mutable_csr.h:313-389), and the CSR
+     snapshot caches it.
 
-  1. one pass that emits per-block pre-deduped (oid, degree) endpoint
-     partials and pins them; their row count bounds V,
-  2. when that bound is within ``_BROADCAST_VERTICES``: ONE Ray task
-     merges the partials into the vertex dictionary (gid = rank in oid
-     order, so gid order == oid order; see ids.py) and writes it — the
-     reference likewise gathers its vertex map in one step,
-     basic_fragment_loader.h:221-236.  Above the threshold: one global
-     sort of the partials + per-block offsets, reconciled on the driver,
-  3. degree-aware contiguous partition boundaries (grape/worker/
-     rebalancer.h analog) from ONE gid-bucket histogram of ``deg + 1``
-     weight, the same on every path (``_gid_histogram`` ->
-     ``_histogram_starts``): the exact per-vertex split up to 2**20
-     vertices, boundaries snapped to bucket ends above,
-  4. ONE oid->gid translate (``_to_gids``, shared with vertex data):
-     `pc.index_in` against the broadcast sorted-oid dictionary, passed
-     by object ref, or one Dataset.join per oid column at scale,
-  5. a ROUTE-ONLY partitioned Parquet "spool": a map-side split by
-     owner, so each fragment actor reads exactly its own edges
-     (basic_fragment_loader.h:155-172 edge routing analog) and no
-     all-to-all sort runs over the edge set.
+Every step runs as plain 1-CPU Ray tasks over block refs (groups of at
+most ``_ROUTE_ROWS`` rows), like ``sinks.write_dataset_partitioned``:
+the calling process only routes refs, and a build within the threshold
+starts no Ray Data execution.  A route task concatenates its group in
+block order, so the spool bytes depend only on the input blocks.
 
-The router (``_spool_and_finish``) is the one place that decides edge
-direction, like the reference's LoadStrategy (grape/types.h:63-68): a
-gid row ``(s, d, w)`` goes forward to owner(s) (``"out"``), reversed as
-``(d, s, w)`` to owner(d) (``"in"``), or both ways (``"both"``).  Every
-view comes from it: a directed build routes ``"out"``;
+The router (``_spool_and_finish``) alone decides edge direction, like
+the reference's LoadStrategy (grape/types.h:63-68): a gid row ``(s, d,
+w)`` goes to owner(s) (``"out"``), as ``(d, s, w)`` to owner(d)
+(``"in"``), or both.  A directed build routes ``"out"``;
 ``symmetrize=True`` translates the E input rows once and routes
-``"both"``; ``reverse_graph`` and the undirected view of a built graph
-(``reuse_vertices_from``) re-route the donor's gid spool ``"in"`` or
-``"both"`` with the donor's dictionary and starts.
+``"both"``; ``reverse_graph`` and ``reuse_vertices_from`` re-route a
+built graph's spool files ``"in"`` or ``"both"`` under its dictionary
+and starts.  Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4.
 
-Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4: gid == oid,
-and the histogram counts the edge endpoints directly.
-
-Each fragment sorts its own slice by (src, dst) and dedups multi-edges
-at load (all out-edges of a vertex are colocated), matching
-immutable_csr.h:100-107's per-vertex neighbour sort and
-mutable_csr.h:313-389's sorted dedup; the CSR snapshot caches the
-result.
+``meta.extra["build"]`` records the seconds of the partials, dictionary
+and route passes, rows in, rows routed and spool files.
 """
 
 from __future__ import annotations
 
+import functools
+import glob
 import json
 import os
+import time
 import uuid
 from dataclasses import dataclass, field
 
@@ -141,21 +139,9 @@ class GraphMeta:
 
     def save(self):
         os.makedirs(self.work_dir, exist_ok=True)
+        d = {k: v for k, v in vars(self).items() if k != "work_dir"}
         with open(os.path.join(self.work_dir, "graph_meta.json"), "w") as f:
-            json.dump(
-                {
-                    "num_vertices": self.num_vertices,
-                    "num_edges": self.num_edges,
-                    "num_partitions": self.num_partitions,
-                    "starts": self.starts.tolist(),
-                    "directed": self.directed,
-                    "oid_type": self.oid_type,
-                    "has_weights": self.has_weights,
-                    "fingerprint": self.fingerprint,
-                    "extra": self.extra,
-                },
-                f,
-            )
+            json.dump(d | {"starts": self.starts.tolist()}, f)
 
     @classmethod
     def load(cls, work_dir: str) -> "GraphMeta":
@@ -175,33 +161,65 @@ def edges_from_numpy(src: np.ndarray, dst: np.ndarray, w: np.ndarray | None = No
     return rd.from_arrow(pa.table(cols))
 
 
-def _endpoint_weight_table(edges_ds, copies: int = 1):
-    """(oid, cnt) rows: BOTH endpoints weigh 1 per routed copy of an
-    edge, so the summed cnt per oid is its total degree in the spool (a
-    symmetrized build routes every input row twice: ``copies=2``).
-    Total degree is the balance criterion the undirected view needs —
-    letting ``reuse_vertices_from`` keep the donor's partition starts
-    without a resample — and a sound proxy for directed superstep work
-    too (push cost tracks out-degree, ingestion tracks in-degree)."""
+# rows per translate+route task: per-block routing of a many-block input
+# wrote O(blocks x P) tiny parquet files (8k files / 60KB each on the
+# 32M-row web graph — file-open overhead then dominated every fragment
+# load); groups of 4M rows bound the count to O(E/4M x P) real files
+_ROUTE_ROWS = 4_000_000
+_EDGE_GIDS = {"src": "src_gid", "dst": "dst_gid"}
 
-    def emit_partial(t: pa.Table) -> pa.Table:
-        # pre-aggregate inside the batch (combiner) so the groupby
-        # shuffle moves one row per distinct endpoint per block, not
-        # two rows per edge
-        src = t.column("src").combine_chunks()
-        dst = t.column("dst").combine_chunks()
-        s_uniq = src.value_counts()
-        d_uniq = dst.value_counts()
-        oid = pa.concat_arrays([s_uniq.field("values"), d_uniq.field("values")])
-        cnt = np.concatenate([
-            s_uniq.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
-            d_uniq.field("counts").to_numpy(zero_copy_only=False).astype(np.int64),
-        ])
-        return pa.table({"oid": oid, "cnt": cnt * copies})
 
-    return edges_ds.select_columns(["src", "dst"]).map_batches(
-        emit_partial, batch_format="pyarrow", batch_size=None
-    )
+def _group(items: list, rows: list, max_rows: int = _ROUTE_ROWS):
+    """``items`` in order, cut into contiguous groups of at most
+    ``max_rows`` rows (a larger item is a group of its own), and the
+    total row count."""
+    groups, n = [], 0
+    for item, r in zip(items, rows):
+        if not groups or n + r > max_rows:
+            groups.append([])
+            n = 0
+        groups[-1].append(item)
+        n += r
+    return groups, int(sum(rows))
+
+
+def _block_groups(ds, max_rows: int = _ROUTE_ROWS):
+    """``_group`` of a Dataset's block refs by their metadata row
+    counts.  ``materialize`` runs no executor on a Dataset that is
+    already pinned (or built from in-memory blocks), so its refs cost
+    no Ray Data execution."""
+    blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    return _group([ref for ref, _ in blocks], [md.num_rows or 0 for _, md in blocks], max_rows)
+
+
+def _concat(items) -> pa.Table:
+    """One group's rows: its blocks (or whole spool files, by path)
+    concatenated in order.  Empty blocks are skipped: Ray Data can hand
+    them back with no columns at all."""
+    from ray.data.block import BlockAccessor
+
+    ts = [pq.read_table(x) if isinstance(x, str) else BlockAccessor.for_block(x).to_arrow()
+          for x in items]
+    ts = [t for t in ts if t.num_rows]
+    return pa.concat_tables(ts) if ts else pa.table({})
+
+
+def _endpoint_partial(cols, copies: int, *blocks):
+    """One group's (oid, cnt) rows, deduped inside the group, and their
+    count.  Each value of the ``cols`` columns weighs ``copies``: BOTH
+    endpoints weigh 1 per routed copy of an edge (``copies=2`` when
+    symmetrized; declared vertices weigh 0), so the summed cnt is the
+    total degree in the spool.  That is the balance the undirected view
+    needs (``reuse_vertices_from`` keeps the donor's starts) and a sound
+    proxy for directed work (push tracks out-, ingestion in-degree)."""
+    t = _concat(blocks)
+    if not t.num_rows:
+        return t, 0
+    uniq = [pc.value_counts(t.column(c)) for c in cols]
+    cnt = [u.field("counts").to_numpy(zero_copy_only=False).astype(np.int64) for u in uniq]
+    oid = pa.concat_arrays([u.field("values") for u in uniq])
+    return pa.table({"oid": oid, "cnt": np.concatenate(cnt) * copies}), len(oid)
 
 
 def publish_graph_dir(final_dir: str, build) -> GraphMeta:
@@ -304,124 +322,72 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
     """String (or sparse int) oids: endpoint partials -> vertex
     dictionary + starts -> translate -> route (steps 1-5 above)."""
     import ray
+    import ray.data as rd
 
     edges_ds = _prepare_edges(edges_ds, weight_col)
-    # coalesce shattered inputs once: every downstream pass (dict sort,
-    # translate, spool) pays per-block overhead
-    if edges_ds.num_blocks() > 4 * num_partitions:
-        edges_ds = edges_ds.repartition(num_partitions).materialize()
-    direction = "both" if symmetrize else "out"
+    sch = edges_ds.schema()
+    src_type = getattr(sch, "base_schema", sch).field("src").type
+    oid_type = "string" if src_type in (pa.string(), pa.large_string()) else "int64"
+    groups, rows_in = _block_groups(edges_ds)
+    t0 = time.perf_counter()
 
-    # ---- 1. per-block pre-deduped (oid, cnt) endpoint partials, pinned:
-    # their row count bounds V, so it picks the dictionary path
-    ep = _endpoint_weight_table(edges_ds, 2 if symmetrize else 1)
+    # ---- 1. one task per block group emits pre-deduped (oid, cnt)
+    # endpoint partials; their row count bounds V, so it picks the
+    # dictionary path.  An explicit universe (vfile) adds zero-weight
+    # rows, so isolated vertices get gids too
+    partial = ray.remote(num_returns=2)(_endpoint_partial)
+    parts = [partial.remote(("src", "dst"), 2 if symmetrize else 1, *g) for g in groups]
     if vertices_ds is not None:
-        # explicit universe (vfile): union zero-weight rows so isolated
-        # vertices get gids too
-        def zero_cnt(t: pa.Table) -> pa.Table:
-            return pa.table({"oid": t.column("oid"),
-                             "cnt": pa.array(np.zeros(len(t), np.int64))})
-
-        ep = ep.union(vertices_ds.select_columns(["oid"]).map_batches(
-            zero_cnt, batch_format="pyarrow", batch_size=None))
-    ep = ep.materialize()
-    sch = ep.schema()
-    oid_pa_type = getattr(sch, "base_schema", sch).field("oid").type
-    oid_type = (
-        "string"
-        if pa.types.is_string(oid_pa_type) or pa.types.is_large_string(oid_pa_type)
-        else "int64"
-    )
-
-    n_partials = ep.count()
+        parts += [partial.remote(("oid",), 0, *g) for g in _block_groups(vertices_ds)[0]]
+    tables, counts = [p[0] for p in parts], ray.get([p[1] for p in parts])
+    n_partials = sum(counts)
     if n_partials == 0:
         raise ValueError("empty edge input")
+    t1 = time.perf_counter()
     dict_ref = None
     if n_partials <= _BROADCAST_VERTICES:
         # ---- 2-3. small dictionary: ONE task merges the partials,
         # writes vertices/ and computes the starts; the driver keeps
         # only the dictionary's ref for the broadcast translate
         info_ref, dict_ref = ray.remote(num_returns=2)(_merge_dictionary).remote(
-            os.path.join(work_dir, "vertices"), num_partitions, _HIST_BUCKETS,
-            *ep.to_arrow_refs())
+            os.path.join(work_dir, "vertices"), num_partitions, _HIST_BUCKETS, *tables)
         num_vertices, num_partitions, starts = ray.get(info_ref)
-        del ep
     else:
-        # ---- 2. large dictionary: ONE global sort of the partials ->
-        # within-block run-length dedup with driver-side reconciliation
-        # of runs that straddle block boundaries.  (A groupby + sort
-        # would be two all-to-all exchanges over the vertex table; the
-        # sorted-dedup needs one.)
-        vds = ep.sort("oid").materialize()
-        del ep
+        # ---- 2-3. large dictionary: ONE global sort of the partials
+        # (a groupby + sort would be two all-to-all exchanges over the
+        # vertex table), then one task per sorted block sums its runs and
+        # the blocks are numbered in sort order here.  The sort
+        # range-partitions, so an oid lives in one block
+        vds = rd.from_arrow_refs([t for t, n in zip(tables, counts) if n]).sort("oid")
+        runs = ray.remote(num_returns=2)(_sorted_runs)
+        # max_rows=1: each sorted block is a group of its own
+        blocks = [runs.remote(*g) for g in _block_groups(vds, 1)[0]]
+        plan, V, last = [], 0, None
+        for i, info in enumerate(ray.get([b[1] for b in blocks])):
+            if info:
+                if last is not None and info[0] <= last:
+                    raise RuntimeError("an oid spans two sorted vertex blocks")
+                plan.append((i, V))
+                V, last = V + info[2], info[1]
+        num_vertices, num_partitions = V, min(num_partitions, max(1, V))
+        B = min(V, _HIST_BUCKETS)
+        number = ray.remote(_number_runs)
+        hist = np.zeros(B, np.float64)
+        vdir = os.path.join(work_dir, "vertices")
+        for ref in [number.remote(vdir, i, off, V, B, blocks[i][0]) for i, off in plan]:
+            hist += ray.get(ref)
+        starts = _histogram_starts(hist, V, num_partitions)
 
-        def _block_uniques(t: pa.Table):
-            """(unique oids ascending, summed weights) for a sorted block."""
-            oid = t.column("oid").combine_chunks()
-            w = t.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
-            eq = pc.equal(oid.slice(1), oid.slice(0, len(oid) - 1))
-            newrun = np.concatenate([[True], ~eq.to_numpy(zero_copy_only=False)])
-            starts_i = np.flatnonzero(newrun)
-            cw = np.concatenate([[0.0], np.cumsum(w)])
-            ends = np.append(starts_i[1:], len(w))
-            return oid.take(pa.array(starts_i)), cw[ends] - cw[starts_i]
-
-        def summarize(t: pa.Table) -> pa.Table:
-            """(first oid, last oid, rows, distinct oids) of a sorted block;
-            an empty block yields no row."""
-            oid = t.column("oid")
-            n = min(len(t), 1)
-            return pa.table({
-                "first_oid": oid.slice(0, n), "last_oid": oid.slice(len(t) - n, n),
-                "n_rows": pa.array([len(t)] * n, pa.int64()),
-                "n_unique": pa.array([pc.count_distinct(oid).as_py()] * n, pa.int64()),
-            })
-
-        summaries = vds.map_batches(summarize, batch_format="pyarrow", batch_size=None).take_all()
-        summaries.sort(key=lambda r: (r["first_oid"], r["last_oid"]))
-        # driver reconciliation: a run spanning two blocks appears as
-        # last_oid(i) == first_oid(i+1) — the later block skips its first
-        plan: dict = {}
-        total = 0
-        prev_last = None
-        for srow in summaries:
-            skip = 1 if (prev_last is not None and srow["first_oid"] == prev_last) else 0
-            key = (srow["first_oid"], srow["last_oid"], srow["n_rows"])
-            if key in plan:
-                raise RuntimeError("ambiguous sorted-block key; vertex dict degenerate")
-            plan[key] = (total - skip, skip)
-            total += srow["n_unique"] - skip
-            prev_last = srow["last_oid"]
-        num_vertices = total
-        num_partitions = min(num_partitions, max(1, num_vertices))
-
-        # ---- 3. write vertex dict (oid, gid, weight), preserving block order
-        def assign_gids(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table({"oid": pa.array([], t.column("oid").type),
-                                 "gid": pa.array([], pa.int64()),
-                                 "weight": pa.array([], pa.float64())})
-            u_oid, u_w = _block_uniques(t)
-            key = (u_oid[0].as_py(), u_oid[-1].as_py(), len(t))
-            off, skip = plan[key]
-            if skip:
-                u_oid, u_w = u_oid.slice(skip), u_w[skip:]
-            gid = np.arange(off + skip, off + skip + len(u_oid), dtype=np.int64)
-            return pa.table({"oid": u_oid, "gid": gid, "weight": u_w})
-
-        # pinned once: the write and the starts histogram would each
-        # re-run assign_gids over every sorted block
-        vtx = vds.map_batches(assign_gids, batch_format="pyarrow", batch_size=None).materialize()
-        del vds
-        vtx.write_parquet(os.path.join(work_dir, "vertices"), row_group_size=_DICT_ROW_GROUP)
-        starts = _dataset_starts(vtx, num_vertices, num_partitions, ["gid"], "weight")
-
-    # ---- 4. translate edges to gid space, 5. route
+    del parts, tables  # consumed: free the partials from plasma
+    # ---- 4. translate edges to gid space (in the route tasks, or one
+    # join per oid column above the threshold), 5. route
     meta = GraphMeta(work_dir, int(num_vertices), 0, int(num_partitions),
                      np.asarray(starts, np.int64), directed, oid_type,
                      bool(weight_col), fingerprint)
-    edges_gid = _to_gids(edges_ds, meta, {"src": "src_gid", "dst": "dst_gid"}, dict_ref)
-    return _spool_and_finish(edges_gid, meta, direction)
+    return _spool_and_finish(meta, "both" if symmetrize else "out",
+                             *_to_gids(edges_ds, meta, _EDGE_GIDS, dict_ref),
+                             partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
+                             rows_in=rows_in)
 
 
 def _prepare_edges(edges_ds, weight_col):
@@ -429,11 +395,10 @@ def _prepare_edges(edges_ds, weight_col):
     from ray.data.dataset import MaterializedDataset
 
     cols = ["src", "dst"] + ([weight_col] if weight_col else [])
-    # the build consumes the edge table more than once (partials, then
-    # translate+spool); pin the PROJECTED columns so the upstream
-    # pipeline (e.g. html extraction) doesn't re-execute — the object
-    # store spills if it exceeds memory.  An input already pinned with
-    # exactly these columns (``extract_edges``' output) is used as is.
+    # the build reads the edge blocks more than once (partials, then
+    # translate+route): pin the PROJECTED columns so the upstream
+    # pipeline (e.g. html extraction) doesn't re-execute.  An input
+    # pinned with exactly these columns (``extract_edges``) is used as is.
     if not (isinstance(edges_ds, MaterializedDataset)
             and edges_ds.schema().names == cols and weight_col in (None, "w")):
         edges_ds = edges_ds.select_columns(cols)
@@ -450,20 +415,37 @@ def _merge_dictionary(vertices_dir: str, num_partitions: int, max_buckets: int,
     its histogram starts over ``min(V, max_buckets)`` buckets.  Returns
     ``((V, P, starts), sorted_oids)`` as two objects, so the caller
     fetches only the scalars."""
-    # empty blocks can come back from Ray Data with no columns at all
-    t = pa.concat_tables([p for p in partials if p.num_rows])
-    t = t.group_by("oid").aggregate([("cnt", "sum")])
-    t = t.sort_by("oid")
-    oids = t.column("oid").combine_chunks()
-    V = len(oids)
-    vt = pa.table({"oid": oids, "gid": np.arange(V, dtype=np.int64),
-                   "weight": t.column("cnt_sum").to_numpy().astype(np.float64)})
-    os.makedirs(vertices_dir, exist_ok=True)
-    pq.write_table(vt, os.path.join(vertices_dir, "part-0.parquet"),
-                   row_group_size=_DICT_ROW_GROUP)
+    runs, _ = _sorted_runs(*partials)
+    V = runs.num_rows
     P = min(num_partitions, max(1, V))
-    hist = _gid_histogram(vt, ["gid"], V, min(V, max_buckets), "weight")
-    return (V, P, _histogram_starts(hist, V, P)), oids
+    hist = _number_runs(vertices_dir, 0, 0, V, min(V, max_buckets), runs)
+    return (V, P, _histogram_starts(hist, V, P)), runs.column("oid").combine_chunks()
+
+
+def _sorted_runs(*blocks):
+    """The distinct oids of (oid, cnt) rows in oid order with their
+    summed ``cnt``, and ``(first oid, last oid, count)``, or None when
+    there is no row."""
+    t = _concat(blocks)
+    if not t.num_rows:
+        return t, None
+    t = t.group_by("oid").aggregate([("cnt", "sum")]).sort_by("oid")
+    oid = t.column("oid")
+    return t, (oid[0].as_py(), oid[-1].as_py(), t.num_rows)
+
+
+def _number_runs(vertices_dir: str, i: int, off: int, V: int, B: int,
+                 runs: pa.Table) -> np.ndarray:
+    """Write ``_sorted_runs`` output as dictionary file ``i``: rows
+    ``(oid, gid, weight)``, gids from ``off`` on.  Returns their gid
+    histogram over ``B`` buckets."""
+    gid = np.arange(off, off + runs.num_rows, dtype=np.int64)
+    vt = pa.table({"oid": runs.column("oid"), "gid": gid,
+                   "weight": runs.column("cnt_sum").to_numpy().astype(np.float64)})
+    os.makedirs(vertices_dir, exist_ok=True)
+    pq.write_table(vt, os.path.join(vertices_dir, f"part-{i:06d}.parquet"),
+                   row_group_size=_DICT_ROW_GROUP)
+    return _gid_histogram(["gid"], V, B, "weight", vt)
 
 
 _HIST_BUCKETS = 1 << 20
@@ -478,12 +460,16 @@ _BROADCAST_VERTICES = 4_000_000
 _DICT_ROW_GROUP = 1 << 14
 
 
-def _gid_histogram(t: pa.Table, cols, V: int, B: int, weight: str | None = None) -> np.ndarray:
+def _gid_histogram(cols, V: int, B: int, weight: str | None, *blocks) -> np.ndarray:
     """Weights of ``B`` equal-width buckets of the gid range ``[0, V)``
     (gid g falls in bucket ``g * B // V``), summed over the gid columns
-    ``cols`` of ``t``: every value weighs 1, or its row's ``weight``."""
-    w = None if weight is None else t.column(weight).to_numpy(zero_copy_only=False)
+    ``cols`` of the ``blocks``: every value weighs 1, or its row's
+    ``weight``."""
+    t = _concat(blocks)
     h = np.zeros(B, np.float64)
+    if not t.num_rows:
+        return h
+    w = None if weight is None else t.column(weight).to_numpy(zero_copy_only=False)
     for c in cols:
         g = t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
         h += np.bincount(g * B // V, weights=w, minlength=B)
@@ -494,19 +480,15 @@ def _dataset_starts(ds, V: int, P: int, cols=("src", "dst"), weight: str | None 
                     copies: int = 1) -> np.ndarray:
     """``_histogram_starts`` of the ``_gid_histogram`` of every block of
     ``ds`` weighed ``copies`` times (routed copies per edge, as in
-    ``_endpoint_weight_table``): ONE pass, summed on the driver in
+    ``_endpoint_partial``): ONE task per block group, summed here in
     O(B) memory, never O(V)."""
+    import ray
+
     B = min(V, _HIST_BUCKETS)
-
-    def hist(t: pa.Table) -> pa.Table:
-        return pa.table({"hist": pa.ListArray.from_arrays(
-            pa.array([0, B], pa.int32()), pa.array(_gid_histogram(t, cols, V, B, weight)))})
-
+    hist = ray.remote(_gid_histogram)
     total = np.zeros(B, np.float64)
-    for batch in (ds.map_batches(hist, batch_format="pyarrow", batch_size=None)
-                  .iter_batches(batch_format="pyarrow", batch_size=None)):
-        flat = batch.column("hist").combine_chunks().flatten()
-        total += flat.to_numpy().reshape(-1, B).sum(axis=0)
+    for ref in [hist.remote(cols, V, B, weight, *g) for g in _block_groups(ds)[0]]:
+        total += ray.get(ref)
     total *= copies
     return _histogram_starts(total, V, P)
 
@@ -532,24 +514,40 @@ def _histogram_starts(hist: np.ndarray, V: int, P: int) -> np.ndarray:
 def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
                      weight_col, fingerprint) -> GraphMeta:
     """Fast path when oids are already dense int64 ids (0..V-1): gid ==
-    oid, no dictionary build or translate — one histogram pass for
-    boundaries, then route to the spool.  The production path for
-    pre-normalized inputs (the reference's int-oid graphs with a dense
-    id space)."""
-    from ray.data.aggregate import Max, Min
+    oid, no dictionary build or translate — one task wave for the oid
+    range, one histogram wave for boundaries, then route to the spool.
+    The production path for pre-normalized inputs (the reference's
+    int-oid graphs with a dense id space)."""
+    import ray
 
     edges_ds = _prepare_edges(edges_ds, weight_col)
-    agg = edges_ds.aggregate(Min("src", alias_name="ns"), Min("dst", alias_name="nd"),
-                             Max("src", alias_name="ms"), Max("dst", alias_name="md"))
-    if min(agg["ns"], agg["nd"]) < 0:
+    groups, rows_in = _block_groups(edges_ds)
+    t0 = time.perf_counter()
+    spans = [s for s in ray.get([ray.remote(_oid_span).remote(*g) for g in groups]) if s]
+    if not spans:
+        raise ValueError("empty edge input")
+    if min(lo for lo, _ in spans) < 0:
         raise ValueError("dense_int_oids needs non-negative oids")
-    V = int(max(agg["ms"], agg["md"])) + 1
+    V = max(hi for _, hi in spans) + 1
     P = min(num_partitions, max(1, V))
+    t1 = time.perf_counter()
     starts = _dataset_starts(edges_ds, V, P, copies=2 if symmetrize else 1)
     meta = GraphMeta(work_dir, V, 0, P, starts, directed, "int64", bool(weight_col),
                      fingerprint, extra={"identity_oids": True})
-    edges_gid = _to_gids(edges_ds, meta, {"src": "src_gid", "dst": "dst_gid"})
-    return _spool_and_finish(edges_gid, meta, "both" if symmetrize else "out")
+    return _spool_and_finish(meta, "both" if symmetrize else "out",
+                             *_to_gids(edges_ds, meta, _EDGE_GIDS),
+                             partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
+                             rows_in=rows_in)
+
+
+def _oid_span(*blocks):
+    """``(min, max)`` over the src and dst oids of one block group, or
+    None when it holds no row."""
+    t = _concat(blocks)
+    if not t.num_rows:
+        return None
+    mm = [pc.min_max(t.column(c)) for c in ("src", "dst")]
+    return min(m["min"].as_py() for m in mm), max(m["max"].as_py() for m in mm)
 
 
 def reverse_graph(meta: GraphMeta) -> GraphMeta:
@@ -575,122 +573,134 @@ def reverse_graph(meta: GraphMeta) -> GraphMeta:
 
 def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
              **extra) -> GraphMeta:
-    """A view of a built graph from one route pass over its gid spool,
-    keeping its dictionary (copied), partition starts and oid mapping."""
+    """A view of a built graph from one route pass over its gid spool
+    files, grouped by their Parquet-footer row counts, keeping its
+    dictionary (copied), partition starts and oid mapping."""
     import shutil
 
-    import ray.data as rd
-
+    t0 = time.perf_counter()
     if donor.extra.get("identity_oids"):
         extra["identity_oids"] = True  # dense-int graphs have no dictionary on disk
     else:
         shutil.copytree(donor.vertices_path, os.path.join(work_dir, "vertices"))
-    cols = ["src_gid", "dst_gid"] + (["w"] if donor.has_weights else [])
+    files = sorted(glob.glob(os.path.join(donor.spool_dir, "part=*", "*.parquet")))
+    groups, rows_in = _group(files, [pq.read_metadata(f).num_rows for f in files])
     meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
                      donor.directed, donor.oid_type, donor.has_weights, fingerprint,
                      extra=extra)
-    return _spool_and_finish(rd.read_parquet(donor.spool_dir, columns=cols), meta, direction)
+    return _spool_and_finish(meta, direction, groups, partials_s=0.0,
+                             dictionary_s=time.perf_counter() - t0, rows_in=rows_in)
+
+
+def _translate(t: pa.Table, cols: dict, V: int, oids=None) -> pa.Table:
+    """The one oid->gid translate: each oid column ``c`` of ``cols``
+    (``{c: gid column}``) becomes its gid column, by ``pc.index_in``
+    against the sorted ``oids`` (the position IS the gid) or, with
+    ``oids=None`` (dense ints), by keeping the oid in ``[0, V)``.  Gid
+    columns come first, then the rest; a row whose oid is not a vertex
+    is dropped."""
+    if oids is None:
+        gids = [t.column(c).cast(pa.int64()) for c in cols]
+        gids = [pc.if_else(pc.and_(pc.greater_equal(g, 0), pc.less(g, V)), g, None)
+                for g in gids]
+    else:
+        gids = [pc.index_in(t.column(c), value_set=oids).cast(pa.int64()) for c in cols]
+    rest = {c: t.column(c) for c in t.column_names if c not in cols}
+    out = pa.table(dict(zip(cols.values(), gids)) | rest)
+    if any(g.null_count for g in gids):
+        out = out.filter(functools.reduce(pc.and_, map(pc.is_valid, gids)))
+    return out
 
 
 def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
-    """The one oid->gid translate, for edges and vertex data: each oid
-    column ``c`` of ``cols`` (``{c: gid column}``) becomes its gid
-    column.  Gid columns come first in ``cols`` order, then the other
-    columns; a row with an oid that is not a vertex is dropped.  The
-    route depends on V alone:
+    """How ``ds``'s oid columns ``cols`` reach gid space, for edges and
+    vertex data: ``(block groups, oids, cols)`` for ``_route_all``,
+    whose tasks ``_translate`` each group.  The route depends on V alone:
 
     - dense-int graphs: the oid is the gid;
-    - up to ``_BROADCAST_VERTICES``: ``pc.index_in`` per batch against
-      the sorted oids shared through plasma (``dict_ref``, or read from
-      ``vertices/``; position in the sorted dictionary IS the gid).  A
-      TASK pool, not an actor pool: ray.get of the plasma-resident
-      Arrow dictionary is zero-copy per task, and tasks reach full
-      width immediately — the actor pool's 1->N ramp-up serialized the
-      first blocks behind one worker (measured 22s -> 8s on the
-      16M-edge headline translate at 32 cpus);
+    - up to ``_BROADCAST_VERTICES``: ``pc.index_in`` against the sorted
+      oids shared through plasma (``dict_ref``, or read from
+      ``vertices/``), a zero-copy read in every task;
     - above it: one hash join per oid column against ``vertices/``
-      (the local_vertex_map.h-style scale route)."""
+      (the local_vertex_map.h-style scale route); the joined blocks are
+      gid rows, so ``cols`` comes back None."""
     import ray
     import ray.data as rd
 
-    rest = [c for c in ds.schema().names if c not in cols]
     V = meta.num_vertices
-    identity = bool(meta.extra.get("identity_oids"))
-    if not identity and V > _BROADCAST_VERTICES:
-        v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
-        for c, g in cols.items():
-            ds = ds.join(v.rename_columns({"oid": c, "gid": g}), join_type="inner",
-                         on=(c,), num_partitions=meta.num_partitions)
-        return ds.select_columns(list(cols.values()) + rest)
-    if not identity and dict_ref is None:
-        dict_ref = ray.put(meta._oid_range(0, V - 1))
-
-    def translate(t: pa.Table) -> pa.Table:
-        if identity:
-            gids = [t.column(c).cast(pa.int64()) for c in cols]
-            gids = [pc.if_else(pc.and_(pc.greater_equal(g, 0), pc.less(g, V)), g, None)
-                    for g in gids]
-        else:
-            oids = ray.get(dict_ref)  # zero-copy plasma read
-            gids = [pc.index_in(t.column(c), value_set=oids).cast(pa.int64()) for c in cols]
-        out = pa.table(dict(zip(cols.values(), gids)) | {c: t.column(c) for c in rest})
-        if any(g.null_count for g in gids):
-            keep = pc.is_valid(gids[0])
-            for g in gids[1:]:
-                keep = pc.and_(keep, pc.is_valid(g))
-            out = out.filter(keep)
-        return out
-
-    return ds.map_batches(translate, batch_format="pyarrow", batch_size=None)
+    if meta.extra.get("identity_oids"):
+        return _block_groups(ds)[0], None, cols
+    if V <= _BROADCAST_VERTICES:
+        if dict_ref is None:
+            dict_ref = ray.put(meta._oid_range(0, V - 1))
+        return _block_groups(ds)[0], dict_ref, cols
+    rest = [c for c in ds.schema().names if c not in cols]
+    v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
+    for c, g in cols.items():
+        ds = ds.join(v.rename_columns({"oid": c, "gid": g}), join_type="inner",
+                     on=(c,), num_partitions=meta.num_partitions)
+    return _block_groups(ds.select_columns(list(cols.values()) + rest))[0], None, None
 
 
-def _spool_and_finish(edges_gid, meta: GraphMeta, direction: str) -> GraphMeta:
-    """Route gid rows into the spool, then count them into ``meta`` and
-    save it.
+def _route_group(root: str, starts: np.ndarray, direction: str, oids, cols, name: str,
+                 *items):
+    """One route task: a group's rows (``_translate``d first when
+    ``cols`` names oid columns), split by the owner of their first
+    column into one file ``root/part={p}/{name}_{p}.parquet`` per
+    partition p.  Returns ``(rows written, files written)``."""
+    t = _concat(items)
+    if not t.num_rows:
+        return 0, 0
+    if cols:
+        t = _translate(t, cols, int(starts[-1]), oids)
+    copies = []
+    if direction != "in":
+        copies.append(t)
+    if direction != "out":
+        rev = {"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
+        if "w" in t.column_names:
+            rev["w"] = t.column("w")
+        copies.append(pa.table(rev))
+    t = pa.concat_tables(copies)
+    files = 0
+    for p, sub in split_by_part(t, part_of(t.column(0).to_numpy(), starts)):
+        pdir = os.path.join(root, f"part={p}")
+        os.makedirs(pdir, exist_ok=True)
+        pq.write_table(sub, os.path.join(pdir, f"{name}_{p}.parquet"))
+        files += 1
+    return t.num_rows, files
+
+
+def _route_all(root: str, groups, starts, direction: str, oids=None, cols=None):
+    """``_route_group`` over every group (block refs or spool file
+    paths) as 1-CPU tasks: half-CPU ones make Ray start and kill extra
+    workers on every call.  File names carry one uuid per call (a new
+    spool changes the fragments' snapshot key), then the group index."""
+    import ray
+
+    route = ray.remote(_route_group)
+    fid = uuid.uuid4().hex[:12]
+    return ray.get([route.remote(root, starts, direction, oids, cols, f"{fid}-{i:06d}", *g)
+                    for i, g in enumerate(groups)])
+
+
+def _spool_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
+                      **record) -> GraphMeta:
+    """Route the groups (with a ``_to_gids`` translate, or spool files)
+    into the edge spool, then count the rows into ``meta``, record the
+    build in ``meta.extra["build"]`` and save it.
 
     ``direction`` picks the copies each row ``(s, d, w)`` yields:
     ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
     owner(d), ``"both"`` writes both (an undirected graph)."""
-    # ---- 5. route-only spool: a map-side split by owner with no
-    # all-to-all sort network; fragments sort their own slice at load
-    # and the CSR snapshot caches the result (the reference likewise
-    # routes by owner, basic_fragment_loader.h:155-172, and sorts only
-    # per-vertex neighbour lists, immutable_csr.h:100-107)
-    spool = meta.spool_dir
-    os.makedirs(spool, exist_ok=True)
-    starts_list = meta.starts  # closure capture (tiny)
-    has_weights = meta.has_weights
-
-    def route_spool(t: pa.Table) -> pa.Table:
-        copies = []
-        if direction != "in":
-            copies.append(t)
-        if direction != "out":
-            rev = {"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
-            if has_weights:
-                rev["w"] = t.column("w")
-            copies.append(pa.table(rev))
-        t = pa.concat_tables(copies)
-        sg = t.column("src_gid").to_numpy(zero_copy_only=False)
-        fid = uuid.uuid4().hex[:12]
-        counts = []
-        for p, sub in split_by_part(t, part_of(sg, starts_list)):
-            pdir = os.path.join(spool, f"part={p}")
-            os.makedirs(pdir, exist_ok=True)
-            pq.write_table(sub, os.path.join(pdir, f"{fid}_{p}.parquet"))
-            counts.append((p, len(sub)))
-        return pa.table({"part": pa.array([c[0] for c in counts], pa.int32()),
-                         "rows": pa.array([c[1] for c in counts], pa.int64())})
-
-    # large coalesced batches: per-BLOCK routing on a many-block input
-    # writes O(blocks x P) tiny parquet files (8k files / 60KB each
-    # observed on the 32M-row web graph — file-open overhead then
-    # dominates every fragment load); 4M-row batches bound the file
-    # count to O(E/4M x P) real files
-    stats = edges_gid.map_batches(route_spool, batch_format="pyarrow",
-                                  batch_size=4_000_000)
-    meta.num_edges = int(sum(r["rows"] for r in stats.take_all()))
+    # ---- 5. route-only spool: a map-side split by owner, no sort
+    t0 = time.perf_counter()
+    done = _route_all(meta.spool_dir, groups, meta.starts, direction, oids, cols)
+    meta.num_edges = int(sum(rows for rows, _ in done))
     meta.directed = meta.directed and direction != "both"
+    meta.extra["build"] = record | {"route_s": time.perf_counter() - t0,
+                                    "rows_routed": meta.num_edges,
+                                    "spool_files": int(sum(f for _, f in done))}
     meta.save()
     return meta
 
@@ -704,23 +714,8 @@ def _write_vdata(vdata_ds, meta: GraphMeta):
     cols = [c for c in vdata_ds.schema().names if c != "oid"]
     if not cols:
         raise ValueError("vdata_ds needs at least one value column besides 'oid'")
-    starts_list = meta.starts
-    vroot = os.path.join(meta.work_dir, "vdata")
-    os.makedirs(vroot, exist_ok=True)
-    gidded = _to_gids(vdata_ds, meta, {"oid": "gid"})
-
-    def write_vdata(t: pa.Table) -> pa.Table:
-        g = t.column("gid").to_numpy(zero_copy_only=False)
-        fid = uuid.uuid4().hex[:12]
-        counts = []
-        for p, sub in split_by_part(t, part_of(g, starts_list)):
-            pdir = os.path.join(vroot, f"part={p}")
-            os.makedirs(pdir, exist_ok=True)
-            pq.write_table(sub, os.path.join(pdir, f"{fid}.parquet"))
-            counts.append(p)
-        return pa.table({"part": pa.array(counts, pa.int32())})
-
-    gidded.map_batches(write_vdata, batch_format="pyarrow", batch_size=None).materialize()
+    groups, oids, key = _to_gids(vdata_ds, meta, {"oid": "gid"})
+    _route_all(os.path.join(meta.work_dir, "vdata"), groups, meta.starts, "out", oids, key)
     meta.extra["vdata_cols"] = cols
     meta.save()
 

@@ -47,6 +47,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pyarrow as pa
@@ -138,7 +139,9 @@ def _free_bundles(outs):
     try:
         from ray._private.internal_api import free as _plasma_free
 
-        _plasma_free(refs, local_only=True)
+        with warnings.catch_warnings():  # Ray marks the call deprecated
+            warnings.simplefilter("ignore", DeprecationWarning)
+            _plasma_free(refs, local_only=True)
     except Exception:
         pass  # best-effort: normal ref GC still applies
 

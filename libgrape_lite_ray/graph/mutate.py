@@ -187,7 +187,8 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
         oid_type=meta.oid_type,
         has_weights=meta.has_weights,
         fingerprint=f"{meta.fingerprint}+delta" if meta.fingerprint else "",
-        extra=dict(meta.extra),
+        # the base graph's build record does not describe this one
+        extra={k: v for k, v in meta.extra.items() if k != "build"},
     )
     new_meta.save()
     return new_meta

@@ -19,9 +19,8 @@ from ..graph.driver import GraphEngine
 
 __all__ = ["extract_edges", "pages_to_graph", "run_web_analytics"]
 
-# every downstream pass pays per edge block: on 30k pages at 4 CPUs the
-# extract pass cost 8.7-11.5 CPU s at 512 pages per batch (36 blocks)
-# and 6.5-8.5 at 4096 (8 blocks)
+# pages per extract batch, so per edge block; the build groups blocks
+# up to 4M rows per task, so the block count no longer costs it a pass
 EXTRACT_BATCH_PAGES = 4096
 
 
@@ -61,7 +60,7 @@ def run_web_analytics(pages_ds, work_dir: str, num_partitions: int = 4,
     """pages -> {pagerank, wcc} result Datasets (gid space) + metas."""
     edges = extract_edges(pages_ds)
     meta_d = build_graph(edges, os.path.join(work_dir, "directed"), num_partitions)
-    del edges  # sym variant re-routes the donor's gid spool; free plasma
+    del edges  # free the blocks: the undirected view reads the donor's spool files
     eng = GraphEngine(meta_d)
     pr_ds, pr_metrics = eng.run("pagerank", {"rounds": pr_rounds})
     pr_tbl = pr_ds.to_pandas()

@@ -1,9 +1,11 @@
 """The one exchange bundle format: ``_pack`` of ``{dest: {channel:
-array | tuple of arrays}}`` and ``_unpack(bundle, part)``."""
+array | tuple of arrays}}`` and ``_unpack(bundle, part)``, and the
+eager plasma free of consumed payloads."""
 
 import numpy as np
+import pytest
 
-from libgrape_lite_ray.graph.driver import _pack, _unpack
+from libgrape_lite_ray.graph.driver import _free_bundles, _pack, _unpack
 
 
 def test_channels_reach_exactly_their_destinations():
@@ -46,3 +48,15 @@ def test_tuple_channel_keeps_column_dtypes():
 
 def test_nothing_to_send_packs_to_none():
     assert _pack({}) is None
+
+
+def test_consumed_payloads_are_freed(ray_session):
+    """``_free_bundles`` releases a payload at once (the page reuse the
+    exchange rounds rely on); a Ray that drops the call fails here
+    instead of silently falling back to async ref GC."""
+    import ray
+
+    ref = ray.put(np.arange(1 << 16))
+    _free_bundles([{"ref": ref}, {"ref": None}])
+    with pytest.raises(ray.exceptions.ObjectFreedError):
+        ray.get(ref, timeout=30)

@@ -267,6 +267,8 @@ def test_mutate_graph_matches_in_process_apply(ray_session, tmp_work):
         "a 28 2 4.0",
     ])
     new = mutate_graph(meta, delta, f"{tmp_work}/mutated")
+    # the base's build record stays with the base
+    assert "build" in meta.extra and "build" not in new.extra
 
     op = (np.asarray(delta.column("op").to_pylist()) == "d").astype(np.int8)
     s = delta.column("src").to_numpy()
