@@ -32,6 +32,21 @@ ENGINE_E = int(os.environ.get("LGR_ENGINE_E", "100000000"))
 RICHNESS = 3  # paragraphs-per-page multiplier: heavier html -> compute-dominated extraction
 
 
+def settle(max_wait_s: float = 420.0, quiet: float = 1.0) -> float:
+    """Block until 1-min loadavg < quiet (or max_wait_s); return the
+    seconds waited.  Every headline rep and every --scaling leg runs on
+    the SAME box: without this, each one inherits the previous one's
+    decaying CPU load and the membw probes under-read by 3-6x (observed
+    58 vs 380 GB/s copy at 32 workers), poisoning both the timings and
+    the recorded hardware ceilings.  Untimed, so patience is free."""
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < max_wait_s:
+        if float(open("/proc/loadavg").read().split()[0]) < quiet:
+            break
+        time.sleep(10.0)
+    return round(time.perf_counter() - t0, 3)
+
+
 def _bench_pages_dir(n: int) -> str:
     return f"/tmp/lgr_bench_pages_{n}_r{RICHNESS}"
 
@@ -175,9 +190,10 @@ def run_bench() -> dict:
 
         _stage_keys = ("extract", "build_directed", "fragment_load", "pagerank",
                        "build_undirected", "fragment_load_u", "wcc", "cdlp", "lcc")
-        best, rep_totals = None, []
+        best, rep_totals, settle_waits = None, [], []
         n_verts = 0
         for _ in range(HEADLINE_REPS):
+            settle_waits.append(settle())  # untimed: every rep starts quiet
             tm, edges, n_verts = _headline_once()
             total = sum(tm[k] for k in _stage_keys)
             rep_totals.append(round(total, 3))
@@ -185,6 +201,7 @@ def run_bench() -> dict:
                 best = tm
         timings.update(best)
         timings["headline_reps"] = rep_totals
+        timings["headline_settle_s"] = settle_waits
 
     # ---- superstep-throughput measurement: engine-scale gid graph
     # (cached; the scaling criterion is supersteps/sec + edges/sec on a
@@ -382,19 +399,6 @@ def run_bench() -> dict:
 
 
 def run_scaling():
-    def settle(max_wait_s: float = 420.0, quiet: float = 1.0):
-        """Block until 1-min loadavg < quiet (or max_wait_s).  Every leg
-        is a fresh process on the SAME box: without this, each leg's
-        first reps inherit the previous leg's decaying CPU load and the
-        membw probes under-read by 3-6x (observed 58 vs 380 GB/s copy
-        at 32 workers), poisoning both the timings and the recorded
-        hardware ceilings.  Untimed, so patience is free."""
-        t0 = time.perf_counter()
-        while time.perf_counter() - t0 < max_wait_s:
-            if float(open("/proc/loadavg").read().split()[0]) < quiet:
-                return
-            time.sleep(10.0)
-
     def one(ncpu: int, env_extra: dict | None = None) -> dict:
         # long prewarm deadline: at low core counts a cold heap faults
         # slowly; a bailed prewarm poisons every timed rep (round-3

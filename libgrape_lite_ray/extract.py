@@ -24,8 +24,7 @@ columnar format); the html column is materialized as Python strings for
 the regex pass (unavoidable for regex-over-bytes — the batch arrives
 zero-copy from plasma, the decode copy happens here) and uses regexes
 compiled once per process at import.  ``pipelines.web.extract_edges``
-runs ``extract_edges_batch`` as a task pool by default; ``ExtractLinks``
-is the actor-pool form for callers that pass ``concurrency``.
+runs ``extract_edges_batch`` as a stateless task-pool ``map_batches``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import re
 
 import pyarrow as pa
 
-__all__ = ["extract_text", "extract_links", "ExtractLinks", "extract_edges_batch", "extract_text_batch"]
+__all__ = ["extract_text", "extract_links", "extract_edges_batch", "extract_text_batch"]
 
 _TITLE_RE = re.compile(rb"<title[^>]*>(.*?)</title>", re.S | re.I)
 _PARA_RE = re.compile(rb"<p[^>]*>(.*?)</p>", re.S | re.I)
@@ -119,23 +118,3 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
     texts = [extract_text(h) for h in htmls]
     return pa.table({"url": pa.array(urls, pa.string()), "text": pa.array(texts, pa.string())})
 
-
-class ExtractLinks:
-    """Actor-pool stage: pages batch -> edges.
-
-    Use as ``pages.map_batches(ExtractLinks, batch_format="pyarrow",
-    concurrency=N)``.  Regex state is module level (compiled at import,
-    once per actor process); the class exists so per-actor counters
-    (pages/links seen) amortize and to match the reference's
-    stateful-loader shape (grape/fragment/ev_fragment_loader.h).
-    """
-
-    def __init__(self):
-        self.pages = 0
-        self.links = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        edges = extract_edges_batch(batch)
-        self.pages += len(batch)
-        self.links += len(edges)
-        return edges

@@ -30,13 +30,16 @@ the same call.  The run terminates when the active total is 0
 (default_message_manager.h:324-350) or the round cap is hit.
 
 Checkpoint/resume (north_rule): every ``checkpoint_every`` rounds each
-actor writes its program state to
-``ckpt_dir/step={r}/part={p}.parquet`` (+ scalars json); the driver
-writes ``MANIFEST.json`` last (atomicity marker) with lineage
+actor writes its program state as one array directory
+``ckpt_dir/step={r}/part={p}/`` (``{name}.npy`` per state array plus
+``scalars.json``, the CSR snapshot's format: ``fragment.save_arrays``);
+the driver writes ``MANIFEST.json`` last (atomicity marker) with lineage
 (fingerprint, algorithm, params, per-round metrics) and the graph
 layout (V and a digest of the partition starts).  ``resume=True``
 restarts from the newest complete step, and refuses a step written
-on a different layout.  Reference analog:
+on a different layout.  Steps written before this format
+(``part={p}.parquet`` with every array zero-padded to one length, plus
+``part={p}.json``) still restore.  Reference analog:
 Serialize/Deserialize (immutable_edgecut_fragment.h:303-376), extended
 to per-superstep granularity.
 """
@@ -53,9 +56,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..memtune import in_ray_worker
+from ..memtune import free_plasma, in_ray_worker
 from .build import GraphMeta
-from .fragment import Fragment
+from .fragment import Fragment, load_arrays, save_arrays
 
 __all__ = ["FragmentHost", "GraphEngine", "ResultHandle"]
 
@@ -134,16 +137,8 @@ def _free_bundles(outs):
     load-time phases copy what they receive.
     """
     refs = [o["ref"] for o in outs if o.get("ref") is not None]
-    if not refs:
-        return
-    try:
-        from ray._private.internal_api import free as _plasma_free
-
-        with warnings.catch_warnings():  # Ray marks the call deprecated
-            warnings.simplefilter("ignore", DeprecationWarning)
-            _plasma_free(refs, local_only=True)
-    except Exception:
-        pass  # best-effort: normal ref GC still applies
+    if refs:
+        free_plasma(refs)
 
 
 class ResultHandle:
@@ -532,23 +527,8 @@ class FragmentHost:
         arrays, scalars = self.programs[part].state_dict()
         step_dir = os.path.join(ckpt_dir, f"step={rnd}")
         os.makedirs(step_dir, exist_ok=True)
-        lens = {k: len(v) for k, v in arrays.items()}
-        maxlen = max(lens.values()) if lens else 0
-        cols = {}
-        for k, v in arrays.items():
-            if len(v) < maxlen:
-                pad = np.zeros(maxlen - len(v), dtype=v.dtype)
-                v = np.concatenate([v, pad])
-            cols[k] = v
-        path = os.path.join(step_dir, f"part={part}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(pa.table(cols) if cols else pa.table({"_empty": pa.array([], pa.int8())}), tmp)
-        os.replace(tmp, path)
-        side = {"scalars": scalars, "lens": lens}
-        spath = os.path.join(step_dir, f"part={part}.json")
-        with open(spath + ".tmp", "w") as fjson:
-            json.dump(side, fjson)
-        os.replace(spath + ".tmp", spath)
+        # replace: a resumed run re-writes steps left without a manifest
+        save_arrays(os.path.join(step_dir, f"part={part}"), arrays, scalars, replace=True)
         return True
 
     def restore(self, name, params: dict, ckpt_dir: str, rnd: int):
@@ -558,15 +538,24 @@ class FragmentHost:
         for p in self.parts:
             prog = cls(self.frags[p], **params)
             self.programs[p] = prog
-            with open(os.path.join(step_dir, f"part={p}.json")) as fjson:
-                side = json.load(fjson)
-            t = pq.read_table(os.path.join(step_dir, f"part={p}.parquet"))
-            arrays = {}
-            for k, n in side["lens"].items():
-                # force a writable copy (Arrow->NumPy views are read-only)
-                arrays[k] = np.array(t.column(k).to_numpy(zero_copy_only=False)[:n])
-            prog.load_state(arrays, side["scalars"])
+            pdir = os.path.join(step_dir, f"part={p}")
+            if os.path.isdir(pdir):
+                prog.load_state(*load_arrays(pdir))
+            else:
+                prog.load_state(*_legacy_state(step_dir, p))
         return True
+
+
+def _legacy_state(step_dir: str, part: int) -> tuple[dict, dict]:
+    """Read a step written before the array-directory format: every
+    array zero-padded to one length in ``part={p}.parquet``, the true
+    lengths and the scalars in ``part={p}.json``."""
+    with open(os.path.join(step_dir, f"part={part}.json")) as f:
+        side = json.load(f)
+    t = pq.read_table(os.path.join(step_dir, f"part={part}.parquet"))
+    # writable copies (Arrow->NumPy views are read-only)
+    return ({k: np.array(t.column(k).to_numpy(zero_copy_only=False)[:n])
+             for k, n in side["lens"].items()}, side["scalars"])
 
 
 class GraphEngine:
@@ -814,8 +803,6 @@ class GraphEngine:
         else:
             _free_bundles(prod)  # max_rounds hit: last exchange unconsumed
         if staged is not None or schedule:
-            import warnings
-
             pending = sorted(schedule.keys())
             warnings.warn(
                 "run() exited with unapplied mutations: "

@@ -26,7 +26,11 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import os
+import shutil
+import threading
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -34,7 +38,8 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 
-__all__ = ["Fragment", "merge_edge_ops"]
+__all__ = ["Fragment", "merge_edge_ops", "save_arrays", "load_arrays",
+           "carried_snapshots"]
 
 _SNAP_ARRAYS = ("indices", "indptr", "outer_gids",
                 "tgt_starts", "tgt_unique", "out_degree",
@@ -72,6 +77,68 @@ def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
             np.concatenate([cur_w[keep], w[add]]) if cur_w is not None else None)
 
 
+def save_arrays(path: str, arrays: dict, scalars: dict | None = None,
+                replace: bool = False) -> None:
+    """Write one array directory: ``{name}.npy`` per array, plus
+    ``scalars.json`` when ``scalars`` is given, into
+    ``<path>.tmp-<pid>`` and renamed to ``path`` in one step, so a torn
+    write is never visible.  The one persistence format of CSR
+    snapshots and superstep checkpoints (the reference's
+    Serialize/Deserialize, immutable_edgecut_fragment.h:303-376).
+
+    An existing ``path`` makes the rename fail (``OSError``): a
+    concurrent writer that published first keeps its dir.  With
+    ``replace`` the existing dir is removed first (a resumed run
+    re-writing a step that has no manifest)."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        os.makedirs(tmp, exist_ok=True)
+        for k, v in arrays.items():
+            np.save(os.path.join(tmp, f"{k}.npy"), v, allow_pickle=False)
+        if scalars is not None:
+            with open(os.path.join(tmp, "scalars.json"), "w") as f:
+                json.dump(scalars, f)
+        if replace:
+            shutil.rmtree(path, ignore_errors=True)
+        os.rename(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
+def load_arrays(path: str, mmap: bool = False) -> tuple[dict, dict | None]:
+    """Read a ``save_arrays`` directory: ``({name: array}, scalars or
+    None)``.  ``mmap`` maps the arrays read-only (file-backed pages
+    come from the page cache and are shared across processes); without
+    it every array is a private, writable copy."""
+    arrays = {}
+    for f in sorted(os.listdir(path)):
+        if not f.endswith(".npy"):
+            continue
+        p = os.path.join(path, f)
+        try:
+            arrays[f[:-4]] = np.load(p, mmap_mode="r" if mmap else None,
+                                     allow_pickle=False)
+        except ValueError:  # zero-length mmap: plain read
+            arrays[f[:-4]] = np.load(p, allow_pickle=False)
+    sp = os.path.join(path, "scalars.json")
+    if not os.path.exists(sp):
+        return arrays, None
+    with open(sp) as f:
+        return arrays, json.load(f)
+
+
+def carried_snapshots(src_work: str, dst_work: str, parts) -> list[tuple[str, str]]:
+    """``(source dir, target dir)`` of every published CSR snapshot of
+    ``parts`` in ``src_work``, for a graph dir whose spool files of those
+    partitions are the same (same names and sizes, so the fingerprints
+    still match)."""
+    return [(d, os.path.join(dst_work, "snapshot", os.path.basename(d)))
+            for p in parts
+            for d in glob.glob(os.path.join(src_work, "snapshot", f"part={p}-*"))
+            if ".tmp-" not in os.path.basename(d)]
+
+
 class Fragment:
     def __init__(self, part_id: int, work_dir: str, starts: np.ndarray,
                  has_weights: bool = False,
@@ -91,18 +158,12 @@ class Fragment:
         # fingerprint of the spool file list, and later loads skip the
         # parquet read / sort / unique / transpose build entirely.
         self._snap_path = self._snapshot_path(work_dir, files)
-        if self._snap_path and os.path.exists(self._snap_path):
+        if self._snap_path and os.path.isdir(self._snap_path):
             if self._load_snapshot():
                 self._load_vdata(work_dir, vdata_cols)
                 return
             # schema drift (snapshot from an older layout): rebuild
-            import shutil
-
-            try:
-                shutil.rmtree(self._snap_path) if os.path.isdir(self._snap_path) \
-                    else os.remove(self._snap_path)
-            except OSError:
-                pass
+            shutil.rmtree(self._snap_path, ignore_errors=True)
         if files:
             cols = ["src_gid", "dst_gid"] + (["w"] if has_weights else [])
             # use_threads=False: each fragment actor holds a fractional
@@ -124,8 +185,6 @@ class Fragment:
         # would otherwise serialize into every FIRST load (5s+ across an
         # actor pool).  tmp-dir + atomic rename keeps a torn write
         # invisible — worst case the next load just rebuilds.
-        import threading
-
         self._snap_thread = threading.Thread(target=self._write_snapshot, daemon=True)
         self._snap_thread.start()
         self._load_vdata(work_dir, vdata_cols)
@@ -161,62 +220,38 @@ class Fragment:
         # concurrent writer for a DIFFERENT fingerprint must not have
         # its tmp dir rmtree'd mid-write; orphans (killed writers) are
         # instead age-gated so they can't accumulate forever.
-        import shutil
-        import time as _time
-
         for old in glob.glob(os.path.join(
                 os.path.dirname(self._snap_path), f"part={self.part}-*")):
             if old == self._snap_path:
                 continue
             if ".tmp-" in os.path.basename(old):
                 try:  # orphaned tmp of a killed writer: reap after 1h
-                    if _time.time() - os.path.getmtime(old) < 3600:
+                    if time.time() - os.path.getmtime(old) < 3600:
                         continue
                 except OSError:
                     continue
-            try:
-                shutil.rmtree(old) if os.path.isdir(old) else os.remove(old)
-            except OSError:
-                pass
+            shutil.rmtree(old, ignore_errors=True)
         arrays = {k: getattr(self, k) for k in _SNAP_ARRAYS}
         if self.edge_w is not None:
             arrays["edge_w"] = self.edge_w
             arrays["w_by_tgt"] = self.w_by_tgt
-        # tmp dir + atomic rename: a torn write is invisible — the next
-        # load just rebuilds from the spool.  The whole body is fenced:
-        # a concurrent reaper removing this tmp dir mid-write must not
-        # crash the daemon thread (the snapshot is simply not written).
-        tmp = f"{self._snap_path}.tmp-{os.getpid()}"
+        # a torn write is invisible — the next load just rebuilds from
+        # the spool.  Fenced: a concurrent reaper removing the tmp dir
+        # mid-write must not crash the daemon thread, and a concurrent
+        # writer that published first keeps its dir.
         try:
-            os.makedirs(tmp, exist_ok=True)
-            for k, v in arrays.items():
-                np.save(os.path.join(tmp, f"{k}.npy"), v)
-            os.rename(tmp, self._snap_path)
-        except OSError:  # concurrent writer won the race / tmp reaped
-            shutil.rmtree(tmp, ignore_errors=True)
+            save_arrays(self._snap_path, arrays)
+        except OSError:
+            pass
 
     def _load_snapshot(self) -> bool:
-        def _arr(name, required):
-            p = os.path.join(self._snap_path, f"{name}.npy")
-            if not os.path.exists(p):
-                return None if not required else False
-            try:
-                return np.load(p, mmap_mode="r", allow_pickle=False)
-            except ValueError:  # zero-length mmap etc: plain read
-                return np.load(p, allow_pickle=False)
-
-        if not os.path.isdir(self._snap_path):
-            return False
-        loaded = {}
+        loaded, _ = load_arrays(self._snap_path, mmap=True)
+        if any(k not in loaded for k in _SNAP_ARRAYS):
+            return False  # older snapshot layout: rebuild
         for k in _SNAP_ARRAYS:
-            a = _arr(k, required=True)
-            if a is False:
-                return False  # older snapshot layout: rebuild
-            loaded[k] = a
-        for k, v in loaded.items():
-            setattr(self, k, v)
-        self.edge_w = _arr("edge_w", required=False)
-        self.w_by_tgt = _arr("w_by_tgt", required=False)
+            setattr(self, k, loaded[k])
+        self.edge_w = loaded.get("edge_w")
+        self.w_by_tgt = loaded.get("w_by_tgt")
         self.num_local_edges = len(self.indices)
         self.ovnum = len(self.outer_gids)
         self.tvnum = self.ivnum + self.ovnum
@@ -226,11 +261,8 @@ class Fragment:
         # are otherwise faulted lazily DURING the first superstep, which
         # showed up as 5s+ straggler rounds.  Reads come from the page
         # cache (or disk at sequential speed) — never cold anon memory.
-        for k in _SNAP_ARRAYS:
-            np.asarray(getattr(self, k)).sum()
-        if self.edge_w is not None:
-            np.asarray(self.edge_w).sum()
-            np.asarray(self.w_by_tgt).sum()
+        for v in loaded.values():
+            np.asarray(v).sum()
         return True
 
     def _load_vdata(self, work_dir: str, vdata_cols):

@@ -32,7 +32,7 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 from .build import GraphMeta, publish_graph_dir
-from .fragment import merge_edge_ops
+from .fragment import carried_snapshots, merge_edge_ops
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -130,49 +130,25 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
             meta.has_weights, op[m], sg[m], dg[m], w[m], int(meta.num_vertices),
         )
 
-    # hard-link untouched partitions' spool files and CSR snapshots
-    # (same file names + sizes -> snapshot fingerprints keep matching)
-    n_rows = {}
-    for pdir in glob.glob(os.path.join(spool, "part=*")):
-        p = int(os.path.basename(pdir).split("=")[1])
-        if p in futs:
-            continue
-        npdir = os.path.join(out_spool, f"part={p}")
-        os.makedirs(npdir, exist_ok=True)
-        rows = 0
-        for f in glob.glob(os.path.join(pdir, "*.parquet")):
-            os.link(f, os.path.join(npdir, os.path.basename(f)))
-            rows += pq.ParquetFile(f).metadata.num_rows
-        n_rows[p] = rows
-    snap_src = os.path.join(meta.work_dir, "snapshot")
-    if os.path.isdir(snap_src):
-        snap_dst = os.path.join(work, "snapshot")
-        os.makedirs(snap_dst, exist_ok=True)
-        for sd in glob.glob(os.path.join(snap_src, "part=*")):
-            if ".tmp-" in os.path.basename(sd):
-                continue
-            p = int(os.path.basename(sd).split("-")[0].split("=")[1])
-            if p in futs:
-                continue
-            if os.path.isdir(sd):  # per-array .npy snapshot directory
-                dd = os.path.join(snap_dst, os.path.basename(sd))
-                os.makedirs(dd, exist_ok=True)
-                for f in glob.glob(os.path.join(sd, "*.npy")):
-                    os.link(f, os.path.join(dd, os.path.basename(f)))
-            else:
-                os.link(sd, os.path.join(snap_dst, os.path.basename(sd)))
+    # hard-link what the delta leaves as is: untouched partitions' spool
+    # files and CSR snapshots (same file names + sizes -> snapshot
+    # fingerprints keep matching), the vertex dictionary and the vdata
+    keep = [p for p in range(meta.num_partitions)
+            if p not in futs and os.path.isdir(os.path.join(spool, f"part={p}"))]
+    links = [(os.path.join(spool, f"part={p}"), os.path.join(out_spool, f"part={p}"))
+             for p in keep]
+    links += carried_snapshots(meta.work_dir, work, keep)
     if not meta.extra.get("identity_oids") and os.path.isdir(meta.vertices_path):
-        vdst = os.path.join(work, "vertices")
-        os.makedirs(vdst, exist_ok=True)
-        for f in glob.glob(os.path.join(meta.vertices_path, "*")):
-            os.link(f, os.path.join(vdst, os.path.basename(f)))
-    vdata_src = os.path.join(meta.work_dir, "vdata")
-    if os.path.isdir(vdata_src):
-        for pdir in glob.glob(os.path.join(vdata_src, "part=*")):
-            npdir = os.path.join(work, "vdata", os.path.basename(pdir))
-            os.makedirs(npdir, exist_ok=True)
-            for f in glob.glob(os.path.join(pdir, "*.parquet")):
-                os.link(f, os.path.join(npdir, os.path.basename(f)))
+        links.append((meta.vertices_path, os.path.join(work, "vertices")))
+    links += [(d, os.path.join(work, "vdata", os.path.basename(d)))
+              for d in glob.glob(os.path.join(meta.work_dir, "vdata", "part=*"))]
+    for sdir, ddir in links:
+        os.makedirs(ddir, exist_ok=True)
+        for f in os.listdir(sdir):
+            os.link(os.path.join(sdir, f), os.path.join(ddir, f))
+    n_rows = {p: sum(pq.ParquetFile(f).metadata.num_rows
+                     for f in glob.glob(os.path.join(out_spool, f"part={p}", "*.parquet")))
+              for p in keep}
 
     for p, fut in futs.items():
         n_rows[p] = ray.get(fut)

@@ -47,8 +47,8 @@ class VertexProgram:
     name = "base"
     # default rounds cap if caller gives none
     default_max_rounds = 10**9
-    # checkpointed attribute names: arrays (one parquet column each)
-    # and JSON scalars
+    # checkpointed attribute names: arrays (one .npy each in the step's
+    # array directory) and JSON scalars
     state_arrays: tuple[str, ...] = ()
     state_scalars: tuple[str, ...] = ()
 

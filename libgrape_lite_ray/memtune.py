@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import warnings
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -129,6 +130,20 @@ def prewarm_heap_async(nbytes: int, cap: int = 2 << 30,
     return t
 
 
+def free_plasma(refs) -> None:
+    """Release ``refs`` from this node's object store now, instead of
+    at the (async) distributed ref GC.  Best-effort: on failure the
+    normal GC still applies."""
+    try:
+        from ray._private.internal_api import free
+
+        with warnings.catch_warnings():  # Ray marks the call deprecated
+            warnings.simplefilter("ignore", DeprecationWarning)
+            free(refs, local_only=True)
+    except Exception:
+        pass
+
+
 def prewarm_plasma(gb: float, chunk_mb: int = 512, parallel: int = 8,
                    deadline_s: float | None = None) -> float:
     """Pre-fault ~gb GiB of the Ray object store, then free it.
@@ -170,11 +185,6 @@ def prewarm_plasma(gb: float, chunk_mb: int = 512, parallel: int = 8,
     per = max(1, n_chunks // max(parallel, 1))
     futs = [_fill.remote(per, chunk_mb, t_end) for _ in range(max(parallel, 1))]
     refs = [r for sub in _ray.get(futs) for r in sub]
-    try:
-        from ray._private.internal_api import free as _free
-
-        _free(refs, local_only=True)
-    except Exception:
-        pass
+    free_plasma(refs)
     del refs, futs
     return _time.perf_counter() - t0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from ..extract import ExtractLinks
+from ..extract import extract_edges_batch
 from ..graph.build import GraphMeta, build_graph
 from ..graph.driver import GraphEngine
 
@@ -24,30 +24,23 @@ __all__ = ["extract_edges", "pages_to_graph", "run_web_analytics"]
 EXTRACT_BATCH_PAGES = 4096
 
 
-def extract_edges(pages_ds, concurrency=None, materialize: bool = True):
+def extract_edges(pages_ds, materialize: bool = True):
     """pages -> (src, dst) url edge Dataset.  ``materialize=True`` pins
     the (small relative to html) edge table so multiple graph builds
     reuse it without re-running extraction; at full corpus scale write
     it to Parquet instead and read it back.
 
-    Extraction is stateless, so it runs as elastic TASKS by default
-    (scales with available CPUs); pass ``concurrency`` to force an
-    actor pool (autoscaling pools ramp lazily and under-use big nodes).
+    Extraction is stateless, so it runs as elastic TASKS (scales with
+    available CPUs; actor pools ramp lazily and under-use big nodes).
     """
-    from ..extract import extract_edges_batch
-
-    kwargs = dict(batch_format="pyarrow", batch_size=EXTRACT_BATCH_PAGES)
-    if concurrency is not None:
-        edges = pages_ds.map_batches(ExtractLinks, concurrency=concurrency, **kwargs)
-    else:
-        edges = pages_ds.map_batches(extract_edges_batch, **kwargs)
+    edges = pages_ds.map_batches(extract_edges_batch, batch_format="pyarrow",
+                                 batch_size=EXTRACT_BATCH_PAGES)
     return edges.materialize() if materialize else edges
 
 
 def pages_to_graph(pages_ds, work_dir: str, num_partitions: int,
-                   symmetrize: bool = False, concurrency=(1, 8),
-                   fingerprint: str = "") -> GraphMeta:
-    edges = extract_edges(pages_ds, concurrency, materialize=False)
+                   symmetrize: bool = False, fingerprint: str = "") -> GraphMeta:
+    edges = extract_edges(pages_ds, materialize=False)
     return build_graph(
         edges, work_dir, num_partitions,
         directed=not symmetrize, symmetrize=symmetrize,

@@ -10,6 +10,7 @@ import pytest
 from libgrape_lite_ray import fixtures
 from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
 from libgrape_lite_ray.graph.driver import GraphEngine
+from libgrape_lite_ray.graph.fragment import Fragment, load_arrays
 
 
 def test_wcc_resume_equals_uninterrupted(ray_session, tmp_work):
@@ -205,7 +206,6 @@ def test_lcc_resume_after_requests_bitwise(ray_session, tmp_work):
     adjacency requests it must serve but no triangle is counted yet,
     resumes from the restored oriented lists and requests and equals
     the uninterrupted run bit for bit."""
-    import json
     import shutil
 
     from libgrape_lite_ray.graph import oracle
@@ -232,12 +232,12 @@ def test_lcc_resume_after_requests_bitwise(ray_session, tmp_work):
     step2 = os.path.join(ckpt, "step=2")
     requests = 0
     for p in range(4):
-        with open(os.path.join(step2, f"part={p}.json")) as fh:
-            side = json.load(fh)
-        assert side["scalars"]["stage"] == 2
-        requests += side["lens"].get("req_lids", 0)
-        tri = pq.read_table(os.path.join(step2, f"part={p}.parquet"), columns=["tricnt"])
-        assert not tri.column("tricnt").to_numpy().any()
+        arrays, scalars = load_arrays(os.path.join(step2, f"part={p}"))
+        assert scalars["stage"] == 2
+        requests += len(arrays.get("req_lids", ()))
+        # each array keeps its own length: no padding to the edge-sized lists
+        assert len(arrays["tricnt"]) == Fragment(p, meta.work_dir, meta.starts).tvnum
+        assert not arrays["tricnt"].any()
     assert requests > 0
     resumed, m = _run(resume=True)
 
@@ -245,3 +245,74 @@ def test_lcc_resume_after_requests_bitwise(ray_session, tmp_work):
     for c in ("gid", "tricnt", "lcc"):
         assert np.array_equal(full[c].to_numpy(), resumed[c].to_numpy()), c
     assert np.array_equal(full["tricnt"].to_numpy(), oracle.triangles_lcc(src, dst, n)[0])
+
+
+def _pagerank_ckpt_run(meta, ckpt, **kw):
+    eng = GraphEngine(meta)
+    try:
+        ds, m = eng.run("pagerank", {"rounds": 6}, ckpt_dir=ckpt, checkpoint_every=1, **kw)
+        return ds.to_pandas().sort_values("gid")["pagerank"].to_numpy(), m
+    finally:
+        eng.shutdown()
+
+
+def test_legacy_parquet_step_resumes_bitwise(ray_session, tmp_work):
+    """A step in the layout written before the array-directory format
+    (every array zero-padded to one length in ``part={p}.parquet``, the
+    lengths and scalars in ``part={p}.json``) still restores, and the
+    resumed run equals the uninterrupted one bit for bit."""
+    import json
+    import shutil
+
+    import pyarrow as pa
+
+    src, dst = fixtures.zipf_graph(n=200, m=1500)
+    meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "g"), 3,
+                       directed=True, fingerprint="ckpt-legacy")
+    ckpt = os.path.join(tmp_work, "ckpt")
+    full, _ = _pagerank_ckpt_run(meta, ckpt)
+    for d in os.listdir(ckpt):
+        if d.startswith("step=") and int(d.split("=")[1]) > 3:
+            shutil.rmtree(os.path.join(ckpt, d))
+    step3 = os.path.join(ckpt, "step=3")
+    for p in range(3):
+        pdir = os.path.join(step3, f"part={p}")
+        arrays, scalars = load_arrays(pdir)
+        # one longer extra array, so the rank array is stored padded
+        arrays["pad_probe"] = np.arange(len(arrays["result"]) + 5, dtype=np.int64)
+        lens = {k: len(v) for k, v in arrays.items()}
+        n = max(lens.values())
+        pq.write_table(pa.table({k: np.concatenate([v, np.zeros(n - len(v), v.dtype)])
+                                 for k, v in arrays.items()}),
+                       os.path.join(step3, f"part={p}.parquet"))
+        with open(os.path.join(step3, f"part={p}.json"), "w") as f:
+            json.dump({"scalars": scalars, "lens": lens}, f)
+        shutil.rmtree(pdir)
+
+    resumed, m = _pagerank_ckpt_run(meta, ckpt, resume=True)
+    assert m["resumed_from"] == 3
+    assert np.array_equal(full, resumed)
+
+
+def test_resume_rewrites_steps_without_manifest(ray_session, tmp_work):
+    """A run cut between its state writes and their manifests leaves
+    ``part=`` dirs behind without a ``MANIFEST.json``: the resume starts
+    from the newest step with a manifest, re-writes the later steps
+    over the stale dirs, and equals the uninterrupted run bit for bit."""
+    src, dst = fixtures.zipf_graph(n=200, m=1500)
+    meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "g"), 3,
+                       directed=True, fingerprint="ckpt-nomanifest")
+    ckpt = os.path.join(tmp_work, "ckpt")
+    full, m_full = _pagerank_ckpt_run(meta, ckpt)
+    last = m_full["rounds"]
+    for r in (last - 1, last):
+        os.remove(os.path.join(ckpt, f"step={r}", "MANIFEST.json"))
+        assert os.path.isdir(os.path.join(ckpt, f"step={r}", "part=0"))
+
+    resumed, m = _pagerank_ckpt_run(meta, ckpt, resume=True)
+    assert m["resumed_from"] == last - 2
+    assert np.array_equal(full, resumed)
+    for r in (last - 1, last):
+        assert os.path.exists(os.path.join(ckpt, f"step={r}", "MANIFEST.json"))
+        assert sorted(os.listdir(os.path.join(ckpt, f"step={r}"))) == \
+            ["MANIFEST.json", "part=0", "part=1", "part=2"]

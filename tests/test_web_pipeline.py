@@ -17,7 +17,7 @@ def web(ray_session, tmp_path_factory):
     tbl = fixtures.pages_table(n_pages, 8)
     pages = rd.from_arrow(tbl)
     wd = str(tmp_path_factory.mktemp("web"))
-    meta = pages_to_graph(pages, wd + "/directed", 4, concurrency=2)
+    meta = pages_to_graph(pages, wd + "/directed", 4)
 
     # independent edge list for the oracle (url-string space)
     edges = extract.extract_edges_batch(tbl)
