@@ -938,16 +938,24 @@ def _q_pagerank_local(sf_dir: str):
                         pc.round(t.column("pagerank"), ndigits=8))
 
 
-def _q_wcc(sf_dir: str):
-    from libgrape_lite_ray.pipelines.tpch_graph import run_graph_query
+def _oid_labels(sf_dir: str, program: str, params: dict, col: str):
+    """A label-valued program (a component's min member, a community)
+    on the undirected derived graph, its labels mapped gid -> oid as the
+    oracles label.  gid is the rank in oid order, so the map keeps every
+    min and every smallest-label tie-break."""
+    from libgrape_lite_ray.pipelines.tpch_graph import graph_meta_for, run_graph_query
 
-    return run_graph_query(sf_dir, "wcc", variant="undirected")
+    t = run_graph_query(sf_dir, program, params, variant="undirected")
+    return t.set_column(t.schema.get_field_index(col), col,
+                        graph_meta_for(sf_dir, "undirected").oids_of(t.column(col)))
+
+
+def _q_wcc(sf_dir: str):
+    return _oid_labels(sf_dir, "wcc", {}, "comp")
 
 
 def _q_cdlp(sf_dir: str):
-    from libgrape_lite_ray.pipelines.tpch_graph import run_graph_query
-
-    return run_graph_query(sf_dir, "cdlp", {"rounds": 10}, variant="undirected")
+    return _oid_labels(sf_dir, "cdlp", {"rounds": 10}, "label")
 
 
 def _q_triangle_count(sf_dir: str):
@@ -1003,8 +1011,6 @@ def _q_sample_multihop(sf_dir: str):
     deterministic — heaviest edge first, ties by neighbor id — so the
     SQL window-function oracle is exact, including path
     multiplicities)."""
-    import pyarrow as pa
-
     from libgrape_lite_ray.graph.build import attach_oids
     from libgrape_lite_ray.graph.driver import GraphEngine
     from libgrape_lite_ray.pipelines.tpch_graph import graph_meta_for
@@ -1014,8 +1020,7 @@ def _q_sample_multihop(sf_dir: str):
     try:
         ds, _ = eng.run("sample_multihop", {
             "sources": [0, 1, 2], "hop_and_num": [3, 2], "strategy": "topk"})
-        t = pa.concat_tables(
-            list(ds.iter_batches(batch_format="pyarrow", batch_size=1_000_000)))
+        t = ds.to_arrow()
     finally:
         eng.shutdown()
     for col, name in [("root_gid", "root"), ("src_gid", "src_oid"),
@@ -1354,7 +1359,7 @@ def entry() -> Any:
 
     sf_dir = "/root/testdata/sf0.001"
     pr = run_graph_query(sf_dir, "pagerank", {"rounds": 10}, variant="directed").to_pandas()
-    wc = run_graph_query(sf_dir, "wcc", variant="undirected").to_pandas()
+    wc = _q_wcc(sf_dir).to_pandas()
     return pr.merge(wc, on="oid").sort_values("oid").reset_index(drop=True)
 
 

@@ -206,7 +206,9 @@ def run_bench() -> dict:
     # ---- superstep-throughput measurement: engine-scale gid graph
     # (cached; the scaling criterion is supersteps/sec + edges/sec on a
     # graph big enough that per-round compute dominates dispatch)
-    egdir = f"/tmp/lgr_engine_graph_{ENGINE_V}_{ENGINE_E}"
+    # (the suffix names the graph-dir format: a dir cached before builds
+    # wrote each partition's CSR has none, and its fragments refuse it)
+    egdir = f"/tmp/lgr_engine_graph_{ENGINE_V}_{ENGINE_E}_csr"
     import json as _json
     if not os.path.exists(os.path.join(egdir, "directed", "graph_meta.json")):
         eg = fixtures.big_engine_edges(ENGINE_V, ENGINE_E)

@@ -18,15 +18,21 @@ partitioned edge spool, in place of the reference's MPI load pipeline
      Dataset.join per oid column above the threshold,
   5. a ROUTE-ONLY partitioned Parquet spool: each row goes to its
      owner's ``part=p/`` (basic_fragment_loader.h:155-172); no sort runs
-     over the edges.  Each fragment sorts and dedups its own slice at
-     load (immutable_csr.h:100-107, mutable_csr.h:313-389), and the CSR
-     snapshot caches it.
+     over the edges,
+  6. one task per partition sorts and dedups its slice of the spool
+     into the fragment's CSR (immutable_csr.h:100-107, the fragment
+     Init that ends the reference's loader) and writes it as
+     ``snapshot/part={p}/`` (``write_csr``), an empty partition
+     included.  A fragment load only maps it.  The spool stays: views,
+     ``mutate_graph`` and ``num_edges`` (rows routed) read it.
 
 Every step runs as plain 1-CPU Ray tasks over block refs (groups of at
 most ``_ROUTE_ROWS`` rows), like ``sinks.write_dataset_partitioned``:
 the calling process only routes refs, and a build within the threshold
 starts no Ray Data execution.  A route task concatenates its group in
 block order, so the spool bytes depend only on the input blocks.
+Everything lands in the build's tmp dir, which ``publish_graph_dir``
+renames into place: a published graph dir holds every partition's CSR.
 
 The router (``_spool_and_finish``) alone decides edge direction, like
 the reference's LoadStrategy (grape/types.h:63-68): a gid row ``(s, d,
@@ -37,8 +43,8 @@ w)`` goes to owner(s) (``"out"``), as ``(d, s, w)`` to owner(d)
 built graph's spool files ``"in"`` or ``"both"`` under its dictionary
 and starts.  Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4.
 
-``meta.extra["build"]`` records the seconds of the partials, dictionary
-and route passes, rows in, rows routed and spool files.
+``meta.extra["build"]`` records the seconds of the partials, dictionary,
+route and CSR passes, rows in, rows routed and spool files.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ids import part_of, split_by_part, weighted_partition_starts
+from .fragment import csr_arrays, save_arrays
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
 
@@ -555,9 +562,8 @@ def reverse_graph(meta: GraphMeta) -> GraphMeta:
     of the reference's LoadStrategy ``kBothOutIn``, grape/types.h:63-68,
     immutable_edgecut_fragment.h:79-114): ONE ``"in"`` route pass over
     the built graph's gid spool — no re-extract, no dictionary
-    translate, no global sort (fragments sort their slice at load; the
-    CSR snapshot caches it).  Built once, cached under
-    ``meta.work_dir/rev``.
+    translate, no global sort (each partition's CSR task sorts its
+    slice).  Built once, cached under ``meta.work_dir/rev``.
 
     Returns a GraphMeta whose fragments' out-CSR is the donor's in-CSR
     and which shares the donor's vertex dictionary, so every program
@@ -575,14 +581,12 @@ def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
              **extra) -> GraphMeta:
     """A view of a built graph from one route pass over its gid spool
     files, grouped by their Parquet-footer row counts, keeping its
-    dictionary (copied), partition starts and oid mapping."""
-    import shutil
-
+    dictionary (hard-linked), partition starts and oid mapping."""
     t0 = time.perf_counter()
     if donor.extra.get("identity_oids"):
         extra["identity_oids"] = True  # dense-int graphs have no dictionary on disk
     else:
-        shutil.copytree(donor.vertices_path, os.path.join(work_dir, "vertices"))
+        link_tree(donor.vertices_path, os.path.join(work_dir, "vertices"))
     files = sorted(glob.glob(os.path.join(donor.spool_dir, "part=*", "*.parquet")))
     groups, rows_in = _group(files, [pq.read_metadata(f).num_rows for f in files])
     meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
@@ -674,8 +678,8 @@ def _route_group(root: str, starts: np.ndarray, direction: str, oids, cols, name
 def _route_all(root: str, groups, starts, direction: str, oids=None, cols=None):
     """``_route_group`` over every group (block refs or spool file
     paths) as 1-CPU tasks: half-CPU ones make Ray start and kill extra
-    workers on every call.  File names carry one uuid per call (a new
-    spool changes the fragments' snapshot key), then the group index."""
+    workers on every call.  File names carry one uuid per call, then
+    the group index."""
     import ray
 
     route = ray.remote(_route_group)
@@ -687,22 +691,68 @@ def _route_all(root: str, groups, starts, direction: str, oids=None, cols=None):
 def _spool_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
                       **record) -> GraphMeta:
     """Route the groups (with a ``_to_gids`` translate, or spool files)
-    into the edge spool, then count the rows into ``meta``, record the
-    build in ``meta.extra["build"]`` and save it.
+    into the edge spool, write every partition's CSR from it, then
+    count the rows into ``meta``, record the build in
+    ``meta.extra["build"]`` and save it.
 
     ``direction`` picks the copies each row ``(s, d, w)`` yields:
     ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
     owner(d), ``"both"`` writes both (an undirected graph)."""
+    import ray
+
     # ---- 5. route-only spool: a map-side split by owner, no sort
     t0 = time.perf_counter()
     done = _route_all(meta.spool_dir, groups, meta.starts, direction, oids, cols)
+    # ---- 6. one task per partition sorts its slice into the CSR
+    t1 = time.perf_counter()
+    csr = ray.remote(write_csr)
+    ray.get([csr.remote(meta.work_dir, p, meta.starts, meta.has_weights)
+             for p in range(meta.num_partitions)])
     meta.num_edges = int(sum(rows for rows, _ in done))
     meta.directed = meta.directed and direction != "both"
-    meta.extra["build"] = record | {"route_s": time.perf_counter() - t0,
+    meta.extra["build"] = record | {"route_s": t1 - t0,
+                                    "csr_s": time.perf_counter() - t1,
                                     "rows_routed": meta.num_edges,
                                     "spool_files": int(sum(f for _, f in done))}
     meta.save()
     return meta
+
+
+def read_spool(work_dir: str, p: int, has_weights: bool):
+    """Partition ``p``'s spool rows as gid-space ``(src, dst, w | None)``
+    arrays, in file order (empty when it has no file)."""
+    files = sorted(glob.glob(os.path.join(work_dir, "edges", f"part={p}", "*.parquet")))
+    if not files:
+        return (np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.float64) if has_weights else None)
+    cols = ["src_gid", "dst_gid"] + (["w"] if has_weights else [])
+    t = pa.concat_tables([pq.read_table(f, columns=cols, use_threads=False) for f in files])
+    return (t.column("src_gid").to_numpy(zero_copy_only=False).astype(np.int64),
+            t.column("dst_gid").to_numpy(zero_copy_only=False).astype(np.int64),
+            t.column("w").to_numpy(zero_copy_only=False).astype(np.float64)
+            if has_weights else None)
+
+
+def save_csr(work_dir: str, p: int, starts, src, dst, w) -> None:
+    """Write partition ``p``'s ``csr_arrays`` of the given edges as the
+    array directory ``snapshot/part={p}/`` that its fragment maps."""
+    save_arrays(os.path.join(work_dir, "snapshot", f"part={p}"),
+                csr_arrays(src, dst, w, int(starts[p]), int(starts[p + 1])))
+
+
+def write_csr(work_dir: str, p: int, starts, has_weights: bool) -> None:
+    """Partition ``p``'s CSR from its spool (``read_spool`` ->
+    ``save_csr``); a partition without rows gets an empty one."""
+    save_csr(work_dir, p, starts, *read_spool(work_dir, p, has_weights))
+
+
+def link_tree(src_dir: str, dst_dir: str) -> None:
+    """Hard-link every file of the flat directory ``src_dir`` into
+    ``dst_dir``: how a derived graph dir carries what it shares with
+    its source (dictionary, untouched partitions) without a copy."""
+    os.makedirs(dst_dir, exist_ok=True)
+    for f in os.listdir(src_dir):
+        os.link(os.path.join(src_dir, f), os.path.join(dst_dir, f))
 
 
 def _write_vdata(vdata_ds, meta: GraphMeta):

@@ -32,8 +32,10 @@ the same call.  The run terminates when the active total is 0
 Checkpoint/resume (north_rule): every ``checkpoint_every`` rounds each
 actor writes its program state as one array directory
 ``ckpt_dir/step={r}/part={p}/`` (``{name}.npy`` per state array plus
-``scalars.json``, the CSR snapshot's format: ``fragment.save_arrays``);
-the driver writes ``MANIFEST.json`` last (atomicity marker) with lineage
+``scalars.json``: ``fragment.save_arrays``, the format in which the
+build writes each partition's CSR).  A restarted job's fragments only
+map those published CSRs, so a resume reads nothing a run wrote but
+its step.  The driver writes ``MANIFEST.json`` last (atomicity marker) with lineage
 (fingerprint, algorithm, params, per-round metrics) and the graph
 layout (V and a digest of the partition starts).  ``resume=True``
 restarts from the newest complete step, and refuses a step written

@@ -2,8 +2,12 @@
 CSR block with mirror (outer-vertex) bookkeeping — the Ray-native
 analog of grape/fragment/immutable_edgecut_fragment.h:69-301.
 
-Layout (all NumPy, built once per actor from the partitioned Parquet
-spool, cf. ImmutableEdgecutFragment::Init):
+Layout (all NumPy): the graph build computes it once per partition
+from the partitioned Parquet spool (``csr_arrays``, cf.
+ImmutableEdgecutFragment::Init) and writes it as the array directory
+``snapshot/part={p}/`` of the graph dir (``save_arrays``, the
+reference's Serialize); a fragment load only memory-maps that
+directory and never writes to the graph dir.
 
 - inner vertices: gids ``[lo, hi)``; local id = gid - lo.
 - ``indptr/indices``: CSR of out-edges of inner vertices; neighbor
@@ -25,12 +29,9 @@ spool, cf. ImmutableEdgecutFragment::Init):
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 import os
 import shutil
-import threading
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -38,12 +39,11 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 
-__all__ = ["Fragment", "merge_edge_ops", "save_arrays", "load_arrays",
-           "carried_snapshots"]
+__all__ = ["Fragment", "csr_arrays", "merge_edge_ops", "save_arrays", "load_arrays"]
 
-_SNAP_ARRAYS = ("indices", "indptr", "outer_gids",
-                "tgt_starts", "tgt_unique", "out_degree",
-                "src_by_tgt", "src_of_edge")
+_CSR_ARRAYS = ("indices", "indptr", "outer_gids",
+               "tgt_starts", "tgt_unique", "out_degree",
+               "src_by_tgt", "src_of_edge")
 
 
 def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
@@ -75,6 +75,68 @@ def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
     return (np.concatenate([cur_src[keep], src[add]]),
             np.concatenate([cur_dst[keep], dst[add]]),
             np.concatenate([cur_w[keep], w[add]]) if cur_w is not None else None)
+
+
+def csr_arrays(src: np.ndarray, dst: np.ndarray, w, lo: int, hi: int) -> dict:
+    """The CSR of the inner gids ``[lo, hi)`` from gid-space edge arrays
+    in any order, as ``{name: array}``: ``indptr/indices/out_degree/
+    src_of_edge``, the mirror gids ``outer_gids``, the CSC transpose
+    ``tgt_starts/tgt_unique/src_by_tgt``, and ``edge_w/w_by_tgt`` when
+    ``w`` is given.  The build writes it per partition (``save_arrays``)
+    and an in-place mutation rebuild (``apply_edge_mutations``) adopts
+    it directly, as the reference's fragment Init ends its loader.
+
+    Sorts by (src, dst) — immutable_csr.h:100-107 neighbour order —
+    then dedups unless weighted.  Weighted multi-edges tie-break on
+    the weight, so their order (and any float sum over them) does not
+    depend on spool file order."""
+    if len(src) > 1:
+        order = np.lexsort((dst, src) if w is None else (w, dst, src))
+        src, dst = src[order], dst[order]
+        if w is not None:
+            w = w[order]
+    if w is None and len(src):
+        keep = np.empty(len(src), dtype=bool)
+        keep[0] = True
+        np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
+        src, dst = src[keep], dst[keep]
+
+    ivnum = hi - lo
+    inner_mask = (dst >= lo) & (dst < hi)
+    outer_gids = np.unique(dst[~inner_mask])
+    tvnum = ivnum + len(outer_gids)
+
+    # int32 local indices when they fit: the per-round gathers over
+    # these arrays are memory-bandwidth bound — 4-byte indices halve
+    # the traffic (int64 fallback for >2B-row partitions)
+    idx_t = np.int32 if tvnum < 2**31 - 2 and len(dst) < 2**31 - 2 else np.int64
+    indices = np.empty(len(dst), dtype=idx_t)
+    indices[inner_mask] = dst[inner_mask] - lo
+    indices[~inner_mask] = ivnum + np.searchsorted(outer_gids, dst[~inner_mask])
+
+    rowlens = np.bincount(src - lo, minlength=ivnum).astype(np.int64)
+    src_of_edge = np.repeat(np.arange(ivnum, dtype=idx_t), rowlens)
+    # transpose structure for push-style per-destination reductions
+    tgt_order = np.argsort(indices, kind="stable").astype(idx_t)
+    tgt_unique, tgt_starts = np.unique(indices[tgt_order], return_index=True)
+    out = {"indices": indices,
+           "indptr": np.concatenate([[0], np.cumsum(rowlens)]),
+           # post-dedup local out-degree (== global: all out-edges of an
+           # inner vertex are routed here, ev_fragment_loader.h)
+           "out_degree": rowlens,
+           "src_of_edge": src_of_edge,
+           "outer_gids": outer_gids,
+           "tgt_unique": tgt_unique,
+           "tgt_starts": tgt_starts,
+           # CSC-ordered source ids + weights: a push sweep does ONE
+           # gather (vals[src_by_tgt]) instead of gather+permute — the
+           # superstep kernels are memory-bandwidth bound, so this is a
+           # direct wall-time cut on WCC/SSSP/BFS
+           "src_by_tgt": src_of_edge[tgt_order]}
+    if w is not None:
+        out["edge_w"] = w
+        out["w_by_tgt"] = w[tgt_order]
+    return out
 
 
 def save_arrays(path: str, arrays: dict, scalars: dict | None = None,
@@ -128,17 +190,6 @@ def load_arrays(path: str, mmap: bool = False) -> tuple[dict, dict | None]:
         return arrays, json.load(f)
 
 
-def carried_snapshots(src_work: str, dst_work: str, parts) -> list[tuple[str, str]]:
-    """``(source dir, target dir)`` of every published CSR snapshot of
-    ``parts`` in ``src_work``, for a graph dir whose spool files of those
-    partitions are the same (same names and sizes, so the fingerprints
-    still match)."""
-    return [(d, os.path.join(dst_work, "snapshot", os.path.basename(d)))
-            for p in parts
-            for d in glob.glob(os.path.join(src_work, "snapshot", f"part={p}-*"))
-            if ".tmp-" not in os.path.basename(d)]
-
-
 class Fragment:
     def __init__(self, part_id: int, work_dir: str, starts: np.ndarray,
                  has_weights: bool = False,
@@ -151,119 +202,38 @@ class Fragment:
         self.ivnum = self.hi - self.lo
         self.has_weights = has_weights
 
-        files = sorted(glob.glob(os.path.join(work_dir, "edges", f"part={self.part}", "*.parquet")))
-        # snapshot fast path (Serialize/Deserialize analog,
-        # immutable_edgecut_fragment.h:303-376): the finished CSR +
-        # transpose arrays are persisted once per partition, keyed by a
-        # fingerprint of the spool file list, and later loads skip the
-        # parquet read / sort / unique / transpose build entirely.
-        self._snap_path = self._snapshot_path(work_dir, files)
-        if self._snap_path and os.path.isdir(self._snap_path):
-            if self._load_snapshot():
-                self._load_vdata(work_dir, vdata_cols)
-                return
-            # schema drift (snapshot from an older layout): rebuild
-            shutil.rmtree(self._snap_path, ignore_errors=True)
-        if files:
-            cols = ["src_gid", "dst_gid"] + (["w"] if has_weights else [])
-            # use_threads=False: each fragment actor holds a fractional
-            # CPU; Arrow's default per-process thread pool (one thread
-            # per core, PER ACTOR) oversubscribes the node ~32x and made
-            # the parallel load SLOWER than a sequential one
-            t = pa.concat_tables([pq.read_table(f, columns=cols, use_threads=False)
-                                  for f in files])
-            src = t.column("src_gid").to_numpy(zero_copy_only=False).astype(np.int64)
-            dst = t.column("dst_gid").to_numpy(zero_copy_only=False).astype(np.int64)
-            w = t.column("w").to_numpy(zero_copy_only=False).astype(np.float64) if has_weights else None
-        else:
-            src = np.empty(0, np.int64)
-            dst = np.empty(0, np.int64)
-            w = np.empty(0, np.float64) if has_weights else None
-
-        self._finalize(src, dst, w)
-        # snapshot write is ASYNC: ~50-100MB of arrays per partition
-        # would otherwise serialize into every FIRST load (5s+ across an
-        # actor pool).  tmp-dir + atomic rename keeps a torn write
-        # invisible — worst case the next load just rebuilds.
-        self._snap_thread = threading.Thread(target=self._write_snapshot, daemon=True)
-        self._snap_thread.start()
+        # the build wrote this partition's CSR (``build.write_csr``); a
+        # load maps it read-only: file-backed pages come from the page
+        # cache and are shared across processes, where a cold anonymous
+        # refault costs ~40us/page on virtualized hosts (see memtune)
+        path = os.path.join(work_dir, "snapshot", f"part={self.part}")
+        if not os.path.isdir(path):
+            raise FileNotFoundError(
+                f"{path}: no CSR of partition {self.part}; the graph dir was built "
+                f"before builds wrote one per partition, rebuild it")
+        arrays, _ = load_arrays(path, mmap=True)
+        self._set_csr(arrays)
+        # pre-fault every mapped array (one sequential pass each): pages
+        # are otherwise faulted lazily DURING the first superstep, which
+        # showed up as 5s+ straggler rounds
+        for v in arrays.values():
+            np.asarray(v).sum()
         self._load_vdata(work_dir, vdata_cols)
 
-    # ---------------------------------------------------------- snapshot
-    def _snapshot_path(self, work_dir: str, files: list[str]) -> str | None:
-        """Snapshot DIRECTORY keyed by a fingerprint of the spool file
-        list (names + sizes): any rebuild of the spool changes the
-        uuid-named files, so a stale snapshot can never be read for
-        fresh data.  One raw ``.npy`` per array so reloads can
-        memory-map (``mmap_mode='r'``): file-backed pages come from the
-        page cache instead of fresh anonymous memory — on virtualized
-        hosts (see memtune) a cold anonymous refault costs ~40us/page,
-        so mapping a still-cached snapshot is 10-100x faster than
-        np.load-into-heap, and it is shared read-only across processes.
-        The reference analog is Serialize/Deserialize
-        (immutable_edgecut_fragment.h:303-376)."""
-        if not files:
-            return None
-        h = hashlib.md5()
-        for f in files:
-            h.update(os.path.basename(f).encode())
-            h.update(str(os.path.getsize(f)).encode())
-        return os.path.join(work_dir, "snapshot",
-                            f"part={self.part}-{h.hexdigest()[:16]}")
-
-    def _write_snapshot(self):
-        if self._snap_path is None or os.path.isdir(self._snap_path):
-            return
-        os.makedirs(os.path.dirname(self._snap_path), exist_ok=True)
-        # drop stale snapshots of this partition (older spool versions).
-        # Skip ALL in-flight tmp dirs regardless of fingerprint — a
-        # concurrent writer for a DIFFERENT fingerprint must not have
-        # its tmp dir rmtree'd mid-write; orphans (killed writers) are
-        # instead age-gated so they can't accumulate forever.
-        for old in glob.glob(os.path.join(
-                os.path.dirname(self._snap_path), f"part={self.part}-*")):
-            if old == self._snap_path:
-                continue
-            if ".tmp-" in os.path.basename(old):
-                try:  # orphaned tmp of a killed writer: reap after 1h
-                    if time.time() - os.path.getmtime(old) < 3600:
-                        continue
-                except OSError:
-                    continue
-            shutil.rmtree(old, ignore_errors=True)
-        arrays = {k: getattr(self, k) for k in _SNAP_ARRAYS}
-        if self.edge_w is not None:
-            arrays["edge_w"] = self.edge_w
-            arrays["w_by_tgt"] = self.w_by_tgt
-        # a torn write is invisible — the next load just rebuilds from
-        # the spool.  Fenced: a concurrent reaper removing the tmp dir
-        # mid-write must not crash the daemon thread, and a concurrent
-        # writer that published first keeps its dir.
-        try:
-            save_arrays(self._snap_path, arrays)
-        except OSError:
-            pass
-
-    def _load_snapshot(self) -> bool:
-        loaded, _ = load_arrays(self._snap_path, mmap=True)
-        if any(k not in loaded for k in _SNAP_ARRAYS):
-            return False  # older snapshot layout: rebuild
-        for k in _SNAP_ARRAYS:
-            setattr(self, k, loaded[k])
-        self.edge_w = loaded.get("edge_w")
-        self.w_by_tgt = loaded.get("w_by_tgt")
+    def _set_csr(self, arrays: dict):
+        """Adopt ``csr_arrays`` output and derive the scalars and mirror
+        bookkeeping from it."""
+        for k in _CSR_ARRAYS:
+            setattr(self, k, arrays[k])
+        self.edge_w = arrays.get("edge_w")
+        self.w_by_tgt = arrays.get("w_by_tgt")
         self.num_local_edges = len(self.indices)
         self.ovnum = len(self.outer_gids)
         self.tvnum = self.ivnum + self.ovnum
+        # mirror slices per owner partition (contiguous in outer_gids)
         self.mirror_bounds = np.searchsorted(self.outer_gids, self.starts)
-        self.export_lids = {}
-        # pre-fault every mapped array (one sequential pass each): pages
-        # are otherwise faulted lazily DURING the first superstep, which
-        # showed up as 5s+ straggler rounds.  Reads come from the page
-        # cache (or disk at sequential speed) — never cold anon memory.
-        for v in loaded.values():
-            np.asarray(v).sum()
-        return True
+        # incoming mirror requests: requester part -> inner lids to export
+        self.export_lids: dict[int, np.ndarray] = {}
 
     def _load_vdata(self, work_dir: str, vdata_cols):
         # per-vertex property columns (VDATA,
@@ -307,68 +277,9 @@ class Fragment:
             full[: self.ivnum] = dense
             self.vdata_full[c] = full
 
-    # ---------------------------------------------------------- CSR build
-    def _finalize(self, src: np.ndarray, dst: np.ndarray, w):
-        """Build every derived array (CSR, transpose, mirror layout)
-        from gid-space edge arrays in any order.  Shared by the spool
-        load path and in-place mutation rebuilds
-        (``apply_edge_mutations``).
-
-        Sorts by (src, dst) — immutable_csr.h:100-107 neighbour order —
-        then dedups unless weighted.  Weighted multi-edges tie-break on
-        the weight, so their order (and any float sum over them) does
-        not depend on spool file order."""
-        if len(src) > 1:
-            order = np.lexsort((dst, src) if w is None else (w, dst, src))
-            src, dst = src[order], dst[order]
-            if w is not None:
-                w = w[order]
-        if w is None and len(src):
-            keep = np.empty(len(src), dtype=bool)
-            keep[0] = True
-            np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-            src, dst = src[keep], dst[keep]
-
-        self.num_local_edges = len(src)
-        inner_mask = (dst >= self.lo) & (dst < self.hi)
-        self.outer_gids = np.unique(dst[~inner_mask])
-        self.ovnum = len(self.outer_gids)
-        self.tvnum = self.ivnum + self.ovnum
-
-        # int32 local indices when they fit: the per-round gathers over
-        # these arrays are memory-bandwidth bound — 4-byte indices halve
-        # the traffic (int64 fallback for >2B-row partitions)
-        idx_t = np.int32 if self.tvnum < 2**31 - 2 and len(dst) < 2**31 - 2 else np.int64
-        indices = np.empty(len(dst), dtype=idx_t)
-        indices[inner_mask] = dst[inner_mask] - self.lo
-        indices[~inner_mask] = self.ivnum + np.searchsorted(self.outer_gids, dst[~inner_mask])
-        self.indices = indices
-        self.edge_w = w
-
-        rowlens = np.bincount(src - self.lo, minlength=self.ivnum).astype(np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(rowlens)])
-        self.out_degree = rowlens  # post-dedup local out-degree (== global:
-        # all out-edges of an inner vertex are routed here, ev_fragment_loader.h)
-        self.src_of_edge = np.repeat(np.arange(self.ivnum, dtype=idx_t), rowlens)
-
-        # transpose structure for push-style per-destination reductions
-        tgt_order = np.argsort(indices, kind="stable").astype(idx_t)
-        self.tgt_unique, self.tgt_starts = np.unique(indices[tgt_order], return_index=True)
-        # CSC-ordered source ids + weights: a push sweep does ONE gather
-        # (vals[src_by_tgt]) instead of gather+permute — the superstep
-        # kernels are memory-bandwidth bound, so this is a direct
-        # wall-time cut on WCC/SSSP/BFS
-        self.src_by_tgt = self.src_of_edge[tgt_order]
-        self.w_by_tgt = w[tgt_order] if w is not None else None
-
-        # mirror slices per owner partition (contiguous in outer_gids)
-        self.mirror_bounds = np.searchsorted(self.outer_gids, self.starts)
-        # incoming mirror requests: requester part -> inner lids to export
-        self.export_lids: dict[int, np.ndarray] = {}
-
     def edge_list(self):
         """Current edges back in gid space: (src, dst, w|None).  The
-        inverse of ``_finalize`` — used by in-place mutation rebuilds."""
+        inverse of ``csr_arrays`` — used by in-place mutation rebuilds."""
         idx = np.asarray(self.indices, np.int64)
         src = self.lo + np.asarray(self.src_of_edge, np.int64)
         dst = np.where(idx < self.ivnum, self.lo + idx, 0)
@@ -388,18 +299,13 @@ class Fragment:
         ``op``: int8 codes (0=add/upsert, 1=delete); src/dst in gid
         space, already routed so every src is inner here; merged by
         ``merge_edge_ops``, as mutate.py merges a spool.  The rebuild is
-        in-memory only — snapshots/spool are untouched, so a NEW engine
-        on the same work_dir sees the pre-mutation graph (durable
-        mutation is mutate_graph's job).
+        in-memory only — the graph dir is untouched, so a NEW engine on
+        the same work_dir sees the pre-mutation graph (durable mutation
+        is mutate_graph's job).
         """
         ns, nd, nw = merge_edge_ops(*self.edge_list(), op, src, dst, w,
                                     int(self.starts[-1]))
-        t = getattr(self, "_snap_thread", None)
-        if t is not None and t.is_alive():
-            t.join()  # writer reads _snap_path; let the PRE-mutation
-            # snapshot finish (it matches the spool, so it stays valid)
-        self._snap_path = None  # mutated CSR must never shadow the spool
-        self._finalize(ns, nd, nw)
+        self._set_csr(csr_arrays(ns, nd, nw, self.lo, self.hi))
         # vdata_full buffers are tvnum-sized: re-seat the inner segment;
         # the engine re-syncs the outer (mirror) segment after the
         # fleet-wide mirror re-registration

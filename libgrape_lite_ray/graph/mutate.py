@@ -13,11 +13,10 @@ whose key is touched, append the keys whose final op is add/update.
 The vertex universe is fixed (the reference's tests mutate edges under
 a fixed vfile); an op naming an unknown oid raises.
 
-Only partitions owning a touched src re-spool; every other partition's
-spool files (and their CSR snapshots — same file names and sizes, so
-the snapshot fingerprints still match) are hard-linked into the new
-graph directory.  Mutation cost is O(edges of touched partitions), not
-O(E).
+Only partitions owning a touched src re-spool, and the same task
+writes their new CSR (``build.save_csr``); every other partition's
+spool files and CSR directory are hard-linked into the new graph
+directory.  Mutation cost is O(edges of touched partitions), not O(E).
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..ids import part_of
-from .build import GraphMeta, publish_graph_dir
-from .fragment import carried_snapshots, merge_edge_ops
+from .build import GraphMeta, link_tree, publish_graph_dir, read_spool, save_csr
+from .fragment import merge_edge_ops
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -63,30 +62,23 @@ def load_delta_file(path: str) -> pa.Table:
         return parse_delta_lines(f)
 
 
-def _mutate_partition(spool_dir: str, p: int, out_pdir: str, has_w: bool,
+def _mutate_partition(work_dir: str, p: int, out_dir: str, starts, has_w: bool,
                       op: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                      w: np.ndarray, V: int) -> int:
+                      w: np.ndarray) -> int:
     """Merge one partition's spool with its ops (``merge_edge_ops``, in
-    arrival order); returns the new row count."""
-    files = sorted(glob.glob(os.path.join(spool_dir, f"part={p}", "*.parquet")))
-    cols = ["src_gid", "dst_gid"] + (["w"] if has_w else [])
-    if files:
-        t = pa.concat_tables([pq.read_table(f, columns=cols) for f in files])
-        cs = t.column("src_gid").to_numpy(zero_copy_only=False).astype(np.int64)
-        cd = t.column("dst_gid").to_numpy(zero_copy_only=False).astype(np.int64)
-        cw = t.column("w").to_numpy(zero_copy_only=False).astype(np.float64) if has_w else None
-    else:
-        cs = cd = np.empty(0, np.int64)
-        cw = np.empty(0, np.float64) if has_w else None
-    # unsorted, like every spool: the fragment sorts its slice at load
-    ns, nd, nw = merge_edge_ops(cs, cd, cw, op, src, dst, w, V)
+    arrival order), write the merged spool and its CSR into ``out_dir``;
+    returns the new row count."""
+    ns, nd, nw = merge_edge_ops(*read_spool(work_dir, p, has_w), op, src, dst, w,
+                                int(starts[-1]))
     out = {"src_gid": ns, "dst_gid": nd}
     if has_w:
         out["w"] = nw
+    out_pdir = os.path.join(out_dir, "edges", f"part={p}")
     os.makedirs(out_pdir, exist_ok=True)
     if len(ns):
         pq.write_table(pa.table(out),
                        os.path.join(out_pdir, f"{uuid.uuid4().hex[:12]}.parquet"))
+    save_csr(out_dir, p, starts, ns, nd, nw)
     return len(ns)
 
 
@@ -117,37 +109,27 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
 
     # split the ops by owner, keeping their order (last op wins)
     owners = part_of(sg, meta.starts)
-    spool = meta.spool_dir
-    out_spool = os.path.join(work, "edges")
-    os.makedirs(out_spool, exist_ok=True)
-
     mut = ray.remote(_mutate_partition)
     futs = {}
     for p in np.unique(owners):
         m = owners == p
-        futs[int(p)] = mut.remote(
-            spool, int(p), os.path.join(out_spool, f"part={int(p)}"),
-            meta.has_weights, op[m], sg[m], dg[m], w[m], int(meta.num_vertices),
-        )
+        futs[int(p)] = mut.remote(meta.work_dir, int(p), work, meta.starts,
+                                  meta.has_weights, op[m], sg[m], dg[m], w[m])
 
     # hard-link what the delta leaves as is: untouched partitions' spool
-    # files and CSR snapshots (same file names + sizes -> snapshot
-    # fingerprints keep matching), the vertex dictionary and the vdata
-    keep = [p for p in range(meta.num_partitions)
-            if p not in futs and os.path.isdir(os.path.join(spool, f"part={p}"))]
-    links = [(os.path.join(spool, f"part={p}"), os.path.join(out_spool, f"part={p}"))
-             for p in keep]
-    links += carried_snapshots(meta.work_dir, work, keep)
+    # files and CSR, the vertex dictionary and the vdata
+    keep = [p for p in range(meta.num_partitions) if p not in futs]
+    links = [(os.path.join(meta.work_dir, sub, f"part={p}"), os.path.join(work, sub, f"part={p}"))
+             for p in keep for sub in ("edges", "snapshot")]
     if not meta.extra.get("identity_oids") and os.path.isdir(meta.vertices_path):
         links.append((meta.vertices_path, os.path.join(work, "vertices")))
     links += [(d, os.path.join(work, "vdata", os.path.basename(d)))
               for d in glob.glob(os.path.join(meta.work_dir, "vdata", "part=*"))]
     for sdir, ddir in links:
-        os.makedirs(ddir, exist_ok=True)
-        for f in os.listdir(sdir):
-            os.link(os.path.join(sdir, f), os.path.join(ddir, f))
+        if os.path.isdir(sdir):  # a partition without rows has no spool dir
+            link_tree(sdir, ddir)
     n_rows = {p: sum(pq.ParquetFile(f).metadata.num_rows
-                     for f in glob.glob(os.path.join(out_spool, f"part={p}", "*.parquet")))
+                     for f in glob.glob(os.path.join(work, "edges", f"part={p}", "*.parquet")))
               for p in keep}
 
     for p, fut in futs.items():

@@ -202,6 +202,6 @@ def cluster_cache_dir(sf_dir: str, tag: str = "minhash-md5") -> str:
     config (mirrors pipelines.tpch_graph._cache_dir)."""
     doc = os.path.join(sf_dir, "documents.parquet")
     h = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}|{os.path.getmtime(doc)}|{tag}|v1".encode()
+        f"{os.path.abspath(sf_dir)}|{os.path.getmtime(doc)}|{tag}|v2".encode()
     ).hexdigest()[:16]
     return os.path.join("/tmp/lgr_cache", f"dedupc-{h}")

@@ -114,7 +114,7 @@ def derived_vdata_str(sf_dir: str):
 
 def _cache_dir(sf_dir: str, variant: str) -> str:
     li = os.path.join(sf_dir, "lineitem.parquet")
-    tag = hashlib.md5(f"{os.path.abspath(sf_dir)}|{os.path.getmtime(li)}|{variant}|v2".encode()).hexdigest()[:16]
+    tag = hashlib.md5(f"{os.path.abspath(sf_dir)}|{os.path.getmtime(li)}|{variant}|v3".encode()).hexdigest()[:16]
     return os.path.join(_CACHE_ROOT, tag)
 
 
@@ -168,9 +168,7 @@ def run_graph_query(sf_dir: str, program: str, params: dict | None = None,
                 f"oracle unrolls only {max_oracle_rounds} — raise the oracle depth "
                 f"for this scale factor before trusting the comparison"
             )
-        tbl = pa.concat_tables(
-            list(ds.iter_batches(batch_format="pyarrow", batch_size=1_000_000))
-        )
+        tbl = ds.to_arrow()
     finally:
         eng.shutdown()
     tbl = attach_oids(tbl, meta)

@@ -11,7 +11,8 @@ import-gated stub documenting the consumer shape
 
 Each micro-batch:
 1. ``mutate_graph`` applies the delta (only touched partitions
-   re-spool; untouched spool files + CSR snapshots are hard-linked);
+   re-spool and rewrite their CSR; untouched partitions' spool files
+   and CSR directories are hard-linked);
 2. the engine reloads into the SAME warm actor pool
    (``reuse_engine``), so per-batch cost is proportional to the delta,
    not the graph;

@@ -2,7 +2,7 @@
 a graph of at most ``_BROADCAST_VERTICES`` vertices starts no Ray Data
 execution, a shattered input builds the same graph as a one-block one,
 two builds from one Dataset write the same spool bytes, and every build
-records its passes in ``meta.extra["build"]``."""
+records its passes, the CSR pass included, in ``meta.extra["build"]``."""
 
 import glob
 import math
@@ -124,9 +124,9 @@ def test_spool_bytes_reproducible(ray_session, tmp_work):
 def test_build_record(ray_session, tmp_work):
     meta = build_graph(_blocks(_edge_table(), 4), os.path.join(tmp_work, "g"), P)
     rec = GraphMeta.load(meta.work_dir).extra["build"]
-    assert set(rec) == {"partials_s", "dictionary_s", "route_s", "rows_in", "rows_routed",
-                        "spool_files"}
+    assert set(rec) == {"partials_s", "dictionary_s", "route_s", "csr_s", "rows_in",
+                        "rows_routed", "spool_files"}
     assert rec["rows_routed"] == meta.num_edges
     assert rec["rows_in"] == 6000
     assert rec["spool_files"] == sum(len(_part_files(meta, p)) for p in range(P))
-    assert all(rec[k] >= 0 for k in ("partials_s", "dictionary_s", "route_s"))
+    assert all(rec[k] >= 0 for k in ("partials_s", "dictionary_s", "route_s", "csr_s"))

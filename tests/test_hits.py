@@ -114,6 +114,7 @@ def test_hits_resume_midrun(ray_session, tmp_work):
 def test_hits_output_warns_before_finalize(tmp_work):
     """A run cut before the finalize superstep has all-zero hubs; its
     output must say so instead of passing them off as scores."""
+    from libgrape_lite_ray.graph.build import write_csr
     from libgrape_lite_ray.graph.fragment import Fragment
     from libgrape_lite_ray.graph.programs.hits import HITS
 
@@ -122,6 +123,7 @@ def test_hits_output_warns_before_finalize(tmp_work):
     pq.write_table(pa.table({"src_gid": pa.array([1, 2, 3], pa.int64()),
                              "dst_gid": pa.array([0, 0, 0], pa.int64())}),
                    os.path.join(d, "e.parquet"))
+    write_csr(tmp_work, 0, np.array([0, 4]), False)
     prog = HITS(Fragment(0, tmp_work, np.array([0, 4])), rounds=2)
     prog.init()
     with pytest.warns(RuntimeWarning, match="finalize"):

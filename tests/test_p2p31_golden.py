@@ -65,13 +65,12 @@ def test_pagerank_matches_reference_golden(p2p_graph):
 def test_wcc_matches_reference_golden(p2p_graph):
     from libgrape_lite_ray.graph.build import attach_oids
     from libgrape_lite_ray.graph.driver import GraphEngine
-    import pyarrow as pa
 
     oid, want = _golden("p2p-31-WCC")
     eng = GraphEngine(p2p_graph)
     try:
         ds, _ = eng.run("wcc")
-        tbl = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=10**6)))
+        tbl = ds.to_arrow()
     finally:
         eng.shutdown()
     df = attach_oids(tbl, p2p_graph).to_pandas().sort_values("oid")

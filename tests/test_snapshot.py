@@ -1,20 +1,17 @@
-"""Fragment snapshot fast path (Serialize/Deserialize analog,
-immutable_edgecut_fragment.h:303-376): the second load of a partition
-must come from the memory-mapped per-array snapshot and be
-array-identical to the built fragment; a rebuilt spool must invalidate
-the snapshot."""
+"""A fragment maps the CSR its build wrote (Serialize/Deserialize
+analog, immutable_edgecut_fragment.h:303-376): every load of a
+partition is memory-mapped and array-identical to ``csr_arrays`` of its
+spool, and a rebuilt graph dir loads the new edges."""
 
-import glob
 import os
 
 import numpy as np
-import pytest
 
 from libgrape_lite_ray import fixtures
 from libgrape_lite_ray.graph import oracle
-from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
+from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy, read_spool
 from libgrape_lite_ray.graph.driver import GraphEngine
-from libgrape_lite_ray.graph.fragment import Fragment, _SNAP_ARRAYS
+from libgrape_lite_ray.graph.fragment import Fragment, csr_arrays
 
 
 def test_snapshot_roundtrip(ray_session, tmp_work):
@@ -23,18 +20,16 @@ def test_snapshot_roundtrip(ray_session, tmp_work):
     meta = build_graph(edges_from_numpy(src, dst), os.path.join(tmp_work, "snap"),
                        4, directed=True)
     f1 = Fragment(1, meta.work_dir, meta.starts, False)
-    assert not isinstance(f1.indices, np.memmap)  # built from the spool
-    f1._snap_thread.join(30)  # snapshot writes are async now
-    snaps = [p for p in glob.glob(os.path.join(meta.work_dir, "snapshot", "part=1-*"))
-             if ".tmp-" not in p]
-    assert len(snaps) == 1
+    assert isinstance(f1.indices, np.memmap)  # mapped from the build's CSR
+    want = csr_arrays(*read_spool(meta.work_dir, 1, False), f1.lo, f1.hi)
     f2 = Fragment(1, meta.work_dir, meta.starts, False)
-    assert isinstance(f2.indices, np.memmap)  # mapped from the snapshot
-    for k in _SNAP_ARRAYS:
-        assert np.array_equal(getattr(f1, k), getattr(f2, k)), k
+    for k, v in want.items():
+        assert np.array_equal(getattr(f1, k), v), k
+        assert getattr(f1, k).dtype == v.dtype, k
+        assert np.array_equal(getattr(f2, k), v), k
     assert f1.tvnum == f2.tvnum and f1.num_local_edges == f2.num_local_edges
 
-    # engine run on the snapshotted graph still matches the oracle
+    # engine run on the mapped graph still matches the oracle
     eng = GraphEngine(meta)
     try:
         ds, _ = eng.run("pagerank", {"rounds": 10, "damping": 0.85})
@@ -46,22 +41,19 @@ def test_snapshot_roundtrip(ray_session, tmp_work):
 
 
 def test_snapshot_invalidated_by_rebuild(ray_session, tmp_work):
-    """A different spool (other edges) under the same dir layout must
-    not reuse the old snapshot."""
+    """A graph dir rebuilt with other edges under the same path loads
+    the new edges: the CSR is part of the build, not a cache of it."""
     import shutil
 
-    n = 100
-    src, dst = fixtures.er_components()
+    src, dst = fixtures.er_components()  # oids 0..99, so gid == oid
     d = os.path.join(tmp_work, "inv")
     meta = build_graph(edges_from_numpy(src, dst), d, 2, directed=True)
-    f1 = Fragment(0, meta.work_dir, meta.starts, False)
-    deg1 = f1.out_degree.copy()
-    f1._snap_thread.join(30)  # let the async writer finish before rmtree
-    # rebuild with an extra edge: spool files change -> new fingerprint
+    s1, d1, _ = Fragment(0, meta.work_dir, meta.starts, False).edge_list()
+    assert not ((s1 == 0) & (d1 == 70)).any()
+    # rebuild with an edge across the two components, so a new one
     shutil.rmtree(d)
-    src2 = np.concatenate([src, [0]])
-    dst2 = np.concatenate([dst, [50]])
-    meta2 = build_graph(edges_from_numpy(src2, dst2), d, 2, directed=True)
-    f2 = Fragment(0, meta2.work_dir, meta2.starts, False)
-    assert not isinstance(f2.indices, np.memmap)  # fingerprint mismatch -> rebuilt
-    assert f2.out_degree.sum() != deg1.sum() or not np.array_equal(f2.out_degree, deg1)
+    meta2 = build_graph(edges_from_numpy(np.append(src, 0), np.append(dst, 70)), d, 2,
+                        directed=True)
+    s2, d2, _ = Fragment(0, meta2.work_dir, meta2.starts, False).edge_list()
+    assert ((s2 == 0) & (d2 == 70)).sum() == 1
+    assert (s2 == 0).sum() == (s1 == 0).sum() + 1

@@ -1,11 +1,10 @@
 """The edge spool is route-only: spool files reach a fragment in no
-particular order (uuid-named, one per routed batch), so the Fragment
-must sort its slice by (src, dst) and dedup at load.  Regression cover
+particular order (uuid-named, one per routed batch), so the build's
+CSR writer must sort each slice by (src, dst) and dedup it.  Regression cover
 for the round-1 spool-ordering bug (VERDICT.md #1), where a
 sorted-spool fast path trusted file order and mis-built the CSR.
 """
 
-import glob
 import os
 
 import numpy as np
@@ -14,7 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray import fixtures
-from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
+from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy, write_csr
 from libgrape_lite_ray.graph.fragment import Fragment
 
 
@@ -41,7 +40,9 @@ def test_fragment_sorts_and_dedups_spool(tmp_work, files, v, want, num_edges):
     os.makedirs(d)
     for name, rows in files.items():
         _write(d, name, rows)
-    frag = Fragment(0, tmp_work, np.array([0, 10]), False)
+    starts = np.array([0, 10])
+    write_csr(tmp_work, 0, starts, False)
+    frag = Fragment(0, tmp_work, starts, False)
     lo, hi = frag.indptr[v], frag.indptr[v + 1]
     assert np.array_equal(frag.indices[lo:hi], want)
     assert frag.out_degree[v] == len(want)
@@ -71,8 +72,6 @@ def test_build_spool_globally_sorted_small_blocks(ray_session, tmp_work, trial):
     want = np.unique(np.stack([src, dst], axis=1), axis=0)
     got_parts = []
     for p in range(meta.num_partitions):
-        if not glob.glob(os.path.join(meta.spool_dir, f"part={p}", "*.parquet")):
-            continue
         frag = Fragment(p, meta.work_dir, meta.starts, False)
         e0, e1 = frag.indptr[:-1], frag.indptr[1:]
         rows = np.repeat(np.arange(frag.ivnum), (e1 - e0)) + frag.lo
