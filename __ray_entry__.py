@@ -982,8 +982,8 @@ def _q_bfs(sf_dir: str):
 
 def _q_in_degree(sf_dir: str):
     """In-degree from the ENGINE's reversed fragments (LoadStrategy
-    kBothOutIn, build.reverse_graph): one route-only spool transpose of
-    the already-built directed graph — no re-extract, no second
+    kBothOutIn, build.reverse_graph): one route-only transpose of the
+    already-built directed graph's CSRs — no re-extract, no second
     dictionary build; the reversed fragments' out-CSR row lengths are
     the in-degrees."""
     import pyarrow as pa

@@ -139,7 +139,7 @@ def run_bench() -> dict:
             meta = build_graph(edges_ds, os.path.join(gdir, "directed"), P)
             tm["build_directed"] = time.perf_counter() - t0
             _mark("build_directed")
-            # the symmetrized variant re-routes the donor's gid spool and
+            # the symmetrized variant re-routes the donor's CSRs and
             # never reads the edge table again — release the materialized
             # extract output so plasma isn't pinned through the CSR loads
             del edges_ds

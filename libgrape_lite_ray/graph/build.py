@@ -1,5 +1,5 @@
 """Distributed graph build: edge Dataset -> vertex dict + gid space +
-partitioned edge spool, in place of the reference's MPI load pipeline
+per-partition CSRs, in place of the reference's MPI load pipeline
 (grape/fragment/ev_fragment_loader.h:71-186, basic_fragment_loader.h):
 
   1. one task per group of edge blocks emits pre-deduped (oid, degree)
@@ -17,14 +17,15 @@ partitioned edge spool, in place of the reference's MPI load pipeline
      ``pc.index_in`` against the broadcast sorted oids, or one
      Dataset.join per oid column above the threshold,
   5. a ROUTE-ONLY partitioned Parquet spool: each row goes to its
-     owner's ``part=p/`` (basic_fragment_loader.h:155-172); no sort runs
-     over the edges,
+     owner's ``edges/part=p/`` (basic_fragment_loader.h:155-172); no
+     sort runs over the edges,
   6. one task per partition sorts and dedups its slice of the spool
      into the fragment's CSR (immutable_csr.h:100-107, the fragment
      Init that ends the reference's loader) and writes it as
      ``snapshot/part={p}/`` (``write_csr``), an empty partition
-     included.  A fragment load only maps it.  The spool stays: views,
-     ``mutate_graph`` and ``num_edges`` (rows routed) read it.
+     included.  The spool is private to the build and deleted once
+     every CSR is written: the CSRs, which a fragment load only maps,
+     are a published graph dir's one edge store.
 
 Every step runs as plain 1-CPU Ray tasks over block refs (groups of at
 most ``_ROUTE_ROWS`` rows), like ``sinks.write_dataset_partitioned``:
@@ -40,8 +41,9 @@ w)`` goes to owner(s) (``"out"``), as ``(d, s, w)`` to owner(d)
 (``"in"``), or both.  A directed build routes ``"out"``;
 ``symmetrize=True`` translates the E input rows once and routes
 ``"both"``; ``reverse_graph`` and ``reuse_vertices_from`` re-route a
-built graph's spool files ``"in"`` or ``"both"`` under its dictionary
-and starts.  Dense int64 oids (``dense_int_oids=True``) skip 1, 2 and 4.
+built graph's CSRs (``csr_edges``) ``"in"`` or ``"both"`` under its
+dictionary and starts.  Dense int64 oids (``dense_int_oids=True``)
+skip 1, 2 and 4.
 
 ``meta.extra["build"]`` records the seconds of the partials, dictionary,
 route and CSR passes, rows in, rows routed and spool files.
@@ -53,8 +55,8 @@ import functools
 import glob
 import json
 import os
+import shutil
 import time
-import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +65,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ids import part_of, split_by_part, weighted_partition_starts
-from .fragment import csr_arrays, save_arrays
+from .fragment import csr_arrays, csr_dir, csr_edges, csr_num_edges, load_arrays, save_arrays
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
 
@@ -74,7 +76,9 @@ class GraphMeta:
 
     work_dir: str
     num_vertices: int
-    num_edges: int  # pre-dedup routed edge count
+    # rows routed before the CSR dedup; a view or a mutation routes its
+    # donor's stored edges, which are deduped unless weighted
+    num_edges: int
     num_partitions: int
     starts: np.ndarray  # int64[P+1] contiguous gid range boundaries
     directed: bool
@@ -201,15 +205,21 @@ def _block_groups(ds, max_rows: int = _ROUTE_ROWS):
 
 
 def _concat(items) -> pa.Table:
-    """One group's rows: its blocks (or whole spool files, by path)
-    concatenated in order.  Empty blocks are skipped: Ray Data can hand
-    them back with no columns at all."""
+    """One group's rows: its blocks (or whole partitions' stored edges,
+    by ``(CSR dir, first gid)``) concatenated in order.  Empty blocks
+    are skipped: Ray Data can hand them back with no columns at all."""
     from ray.data.block import BlockAccessor
 
-    ts = [pq.read_table(x) if isinstance(x, str) else BlockAccessor.for_block(x).to_arrow()
+    ts = [_csr_table(*x) if isinstance(x, tuple) else BlockAccessor.for_block(x).to_arrow()
           for x in items]
     ts = [t for t in ts if t.num_rows]
     return pa.concat_tables(ts) if ts else pa.table({})
+
+
+def _csr_table(path: str, lo: int) -> pa.Table:
+    """A stored CSR's edges as ``src_gid/dst_gid`` (+ ``w``) rows."""
+    src, dst, w = csr_edges(load_arrays(path, mmap=True)[0], lo)
+    return pa.table({"src_gid": src, "dst_gid": dst} | ({} if w is None else {"w": w}))
 
 
 def _endpoint_partial(cols, copies: int, *blocks):
@@ -232,12 +242,9 @@ def _endpoint_partial(cols, copies: int, *blocks):
 def publish_graph_dir(final_dir: str, build) -> GraphMeta:
     """Build a graph dir atomically: ``build(tmp_dir)`` writes into
     ``final_dir.building-<pid>`` and returns its saved meta, which is
-    renamed into place only on success.  A crashed build otherwise
-    leaves partial uuid-named spool files that a retry silently merges
-    with its own — duplicated edges with no error.  An existing
-    ``graph_meta.json`` marker is loaded instead of rebuilt."""
-    import shutil
-
+    renamed into place only on success, so a retry never reads what a
+    crashed build left half written.  An existing ``graph_meta.json``
+    marker is loaded instead of rebuilt."""
     marker = os.path.join(final_dir, "graph_meta.json")
     if os.path.exists(marker):
         return GraphMeta.load(final_dir)
@@ -280,7 +287,7 @@ def build_graph(
     reference's undirected load, types.h LoadStrategy semantics for the
     undirected apps).  With ``reuse_vertices_from=donor`` (and
     ``edges_ds=None``) it derives the undirected view of an
-    already-built graph instead: the donor's gid spool is re-routed
+    already-built graph instead: the donor's stored edges are re-routed
     both ways under the donor's dictionary and partition starts, with
     no extract or translate.  In-edges alone come from
     ``reverse_graph``.
@@ -561,7 +568,7 @@ def reverse_graph(meta: GraphMeta) -> GraphMeta:
     """In-edge adjacency without a second graph build (the in-edge half
     of the reference's LoadStrategy ``kBothOutIn``, grape/types.h:63-68,
     immutable_edgecut_fragment.h:79-114): ONE ``"in"`` route pass over
-    the built graph's gid spool — no re-extract, no dictionary
+    the built graph's per-partition CSRs — no re-extract, no dictionary
     translate, no global sort (each partition's CSR task sorts its
     slice).  Built once, cached under ``meta.work_dir/rev``.
 
@@ -579,16 +586,16 @@ def reverse_graph(meta: GraphMeta) -> GraphMeta:
 
 def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
              **extra) -> GraphMeta:
-    """A view of a built graph from one route pass over its gid spool
-    files, grouped by their Parquet-footer row counts, keeping its
-    dictionary (hard-linked), partition starts and oid mapping."""
+    """A view of a built graph from one route pass over its partitions'
+    CSRs, grouped by their edge counts, keeping its dictionary
+    (hard-linked), partition starts and oid mapping."""
     t0 = time.perf_counter()
     if donor.extra.get("identity_oids"):
         extra["identity_oids"] = True  # dense-int graphs have no dictionary on disk
     else:
         link_tree(donor.vertices_path, os.path.join(work_dir, "vertices"))
-    files = sorted(glob.glob(os.path.join(donor.spool_dir, "part=*", "*.parquet")))
-    groups, rows_in = _group(files, [pq.read_metadata(f).num_rows for f in files])
+    dirs = [(csr_dir(donor.work_dir, p), int(donor.starts[p])) for p in range(donor.num_partitions)]
+    groups, rows_in = _group(dirs, [csr_num_edges(d) for d, _ in dirs])
     meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
                      donor.directed, donor.oid_type, donor.has_weights, fingerprint,
                      extra=extra)
@@ -676,24 +683,23 @@ def _route_group(root: str, starts: np.ndarray, direction: str, oids, cols, name
 
 
 def _route_all(root: str, groups, starts, direction: str, oids=None, cols=None):
-    """``_route_group`` over every group (block refs or spool file
-    paths) as 1-CPU tasks: half-CPU ones make Ray start and kill extra
-    workers on every call.  File names carry one uuid per call, then
-    the group index."""
+    """``_route_group`` over every group (block refs or CSR dirs) as
+    1-CPU tasks: half-CPU ones make Ray start and kill extra workers on
+    every call.  File names are the group index: every build writes
+    into a fresh tmp dir."""
     import ray
 
     route = ray.remote(_route_group)
-    fid = uuid.uuid4().hex[:12]
-    return ray.get([route.remote(root, starts, direction, oids, cols, f"{fid}-{i:06d}", *g)
+    return ray.get([route.remote(root, starts, direction, oids, cols, f"{i:06d}", *g)
                     for i, g in enumerate(groups)])
 
 
 def _spool_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
                       **record) -> GraphMeta:
-    """Route the groups (with a ``_to_gids`` translate, or spool files)
-    into the edge spool, write every partition's CSR from it, then
-    count the rows into ``meta``, record the build in
-    ``meta.extra["build"]`` and save it.
+    """Route the groups (with a ``_to_gids`` translate, or a donor's
+    CSR dirs) into the edge spool, write every partition's CSR from it
+    and delete the spool, then count the rows into ``meta``, record the
+    build in ``meta.extra["build"]`` and save it.
 
     ``direction`` picks the copies each row ``(s, d, w)`` yields:
     ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
@@ -708,6 +714,7 @@ def _spool_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=N
     csr = ray.remote(write_csr)
     ray.get([csr.remote(meta.work_dir, p, meta.starts, meta.has_weights)
              for p in range(meta.num_partitions)])
+    shutil.rmtree(meta.spool_dir, ignore_errors=True)
     meta.num_edges = int(sum(rows for rows, _ in done))
     meta.directed = meta.directed and direction != "both"
     meta.extra["build"] = record | {"route_s": t1 - t0,
@@ -736,13 +743,14 @@ def read_spool(work_dir: str, p: int, has_weights: bool):
 def save_csr(work_dir: str, p: int, starts, src, dst, w) -> None:
     """Write partition ``p``'s ``csr_arrays`` of the given edges as the
     array directory ``snapshot/part={p}/`` that its fragment maps."""
-    save_arrays(os.path.join(work_dir, "snapshot", f"part={p}"),
+    save_arrays(csr_dir(work_dir, p),
                 csr_arrays(src, dst, w, int(starts[p]), int(starts[p + 1])))
 
 
 def write_csr(work_dir: str, p: int, starts, has_weights: bool) -> None:
     """Partition ``p``'s CSR from its spool (``read_spool`` ->
-    ``save_csr``); a partition without rows gets an empty one."""
+    ``save_csr``, the spool's one reader); a partition without rows
+    gets an empty one."""
     save_csr(work_dir, p, starts, *read_spool(work_dir, p, has_weights))
 
 

@@ -188,20 +188,18 @@ class FragmentHost:
     """
 
     def __init__(self, host_id: int, part_ids, host_of, work_dir: str, starts,
-                 has_weights: bool, vdata_cols=None):
+                 vdata_cols=None):
         # no heap tuning here: importing the package applies it in every
         # Ray worker, actors included (see memtune), and a host built in
         # a user process must leave that process's heap alone
-        self._bind(host_id, part_ids, host_of, work_dir, starts, has_weights,
-                   vdata_cols)
+        self._bind(host_id, part_ids, host_of, work_dir, starts, vdata_cols)
 
-    def _bind(self, host_id, part_ids, host_of, work_dir, starts, has_weights,
-              vdata_cols):
+    def _bind(self, host_id, part_ids, host_of, work_dir, starts, vdata_cols):
         self.host_id = int(host_id)
         self.parts = [int(p) for p in part_ids]
         self.host_of = np.asarray(host_of, np.int64)
         st = np.asarray(starts, np.int64)
-        self.frags = {p: Fragment(p, work_dir, st, has_weights, vdata_cols)
+        self.frags = {p: Fragment(p, work_dir, st, vdata_cols)
                       for p in self.parts}
         self.programs: dict[int, object] = {}
         self._own_payload: dict = {}  # exchange key -> own payload
@@ -249,11 +247,10 @@ class FragmentHost:
         return True
 
     def reload(self, host_id: int, part_ids, host_of, work_dir: str, starts,
-               has_weights: bool, vdata_cols=None):
+               vdata_cols=None):
         """Rebind this actor to another built graph — reusing a warm
         actor pool skips process spawn + imports (~5s for 32 actors)."""
-        self._bind(host_id, part_ids, host_of, work_dir, starts, has_weights,
-                   vdata_cols)
+        self._bind(host_id, part_ids, host_of, work_dir, starts, vdata_cols)
         return True
 
     # ------------------------------------------------------------ exchange
@@ -596,7 +593,7 @@ class GraphEngine:
             reuse_engine.actors = []
             ray.get([
                 a.reload.remote(h, groups[h], host_of, meta.work_dir,
-                                meta.starts.tolist(), meta.has_weights, vdata_cols)
+                                meta.starts.tolist(), vdata_cols)
                 for h, a in enumerate(self.actors)
             ])
         else:
@@ -605,7 +602,7 @@ class GraphEngine:
             Host = ray.remote(num_cpus=num_cpus_per_actor)(FragmentHost)
             self.actors = [
                 Host.remote(h, groups[h], host_of, meta.work_dir,
-                            meta.starts.tolist(), meta.has_weights, vdata_cols)
+                            meta.starts.tolist(), vdata_cols)
                 for h in range(H)
             ]
         self._vdata_cols = vdata_cols

@@ -3,11 +3,12 @@ CSR block with mirror (outer-vertex) bookkeeping — the Ray-native
 analog of grape/fragment/immutable_edgecut_fragment.h:69-301.
 
 Layout (all NumPy): the graph build computes it once per partition
-from the partitioned Parquet spool (``csr_arrays``, cf.
+from the edges routed to it (``csr_arrays``, cf.
 ImmutableEdgecutFragment::Init) and writes it as the array directory
 ``snapshot/part={p}/`` of the graph dir (``save_arrays``, the
-reference's Serialize); a fragment load only memory-maps that
-directory and never writes to the graph dir.
+reference's Serialize), the graph dir's one edge store: views and
+``mutate_graph`` read it back (``csr_edges``), a fragment load only
+memory-maps it.
 
 - inner vertices: gids ``[lo, hi)``; local id = gid - lo.
 - ``indptr/indices``: CSR of out-edges of inner vertices; neighbor
@@ -39,7 +40,8 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 
-__all__ = ["Fragment", "csr_arrays", "merge_edge_ops", "save_arrays", "load_arrays"]
+__all__ = ["Fragment", "csr_arrays", "csr_dir", "csr_edges", "csr_num_edges",
+           "merge_edge_ops", "save_arrays", "load_arrays"]
 
 _CSR_ARRAYS = ("indices", "indptr", "outer_gids",
                "tgt_starts", "tgt_unique", "out_degree",
@@ -89,7 +91,7 @@ def csr_arrays(src: np.ndarray, dst: np.ndarray, w, lo: int, hi: int) -> dict:
     Sorts by (src, dst) — immutable_csr.h:100-107 neighbour order —
     then dedups unless weighted.  Weighted multi-edges tie-break on
     the weight, so their order (and any float sum over them) does not
-    depend on spool file order."""
+    depend on the input's row order."""
     if len(src) > 1:
         order = np.lexsort((dst, src) if w is None else (w, dst, src))
         src, dst = src[order], dst[order]
@@ -137,6 +139,31 @@ def csr_arrays(src: np.ndarray, dst: np.ndarray, w, lo: int, hi: int) -> dict:
         out["edge_w"] = w
         out["w_by_tgt"] = w[tgt_order]
     return out
+
+
+def csr_dir(work_dir: str, p: int) -> str:
+    """Partition ``p``'s CSR directory, the graph dir's edge store."""
+    return os.path.join(work_dir, "snapshot", f"part={p}")
+
+
+def csr_num_edges(path: str) -> int:
+    """The edge count of the CSR directory ``path``, from its ``indptr``."""
+    return int(np.load(os.path.join(path, "indptr.npy"), mmap_mode="r")[-1])
+
+
+def csr_edges(arrays: dict, lo: int):
+    """The one inverse of ``csr_arrays``: a partition's CSR, first gid
+    ``lo``, back as gid-space edges ``(src, dst, w | None)`` in CSR
+    order, for views, ``mutate_graph`` and in-place mutations."""
+    ivnum = len(arrays["indptr"]) - 1
+    idx = np.asarray(arrays["indices"], np.int64)
+    src = lo + np.asarray(arrays["src_of_edge"], np.int64)
+    dst = np.where(idx < ivnum, lo + idx, 0)
+    m = idx >= ivnum
+    if m.any():
+        dst[m] = np.asarray(arrays["outer_gids"], np.int64)[idx[m] - ivnum]
+    w = arrays.get("edge_w")
+    return src, dst, (np.array(w, np.float64) if w is not None else None)
 
 
 def save_arrays(path: str, arrays: dict, scalars: dict | None = None,
@@ -192,7 +219,6 @@ def load_arrays(path: str, mmap: bool = False) -> tuple[dict, dict | None]:
 
 class Fragment:
     def __init__(self, part_id: int, work_dir: str, starts: np.ndarray,
-                 has_weights: bool = False,
                  vdata_cols: list[str] | None = None):
         self.part = int(part_id)
         self.starts = np.asarray(starts, dtype=np.int64)
@@ -200,13 +226,12 @@ class Fragment:
         self.lo = int(self.starts[self.part])
         self.hi = int(self.starts[self.part + 1])
         self.ivnum = self.hi - self.lo
-        self.has_weights = has_weights
 
         # the build wrote this partition's CSR (``build.write_csr``); a
         # load maps it read-only: file-backed pages come from the page
         # cache and are shared across processes, where a cold anonymous
         # refault costs ~40us/page on virtualized hosts (see memtune)
-        path = os.path.join(work_dir, "snapshot", f"part={self.part}")
+        path = csr_dir(work_dir, self.part)
         if not os.path.isdir(path):
             raise FileNotFoundError(
                 f"{path}: no CSR of partition {self.part}; the graph dir was built "
@@ -222,7 +247,8 @@ class Fragment:
 
     def _set_csr(self, arrays: dict):
         """Adopt ``csr_arrays`` output and derive the scalars and mirror
-        bookkeeping from it."""
+        bookkeeping from it (``csr`` keeps the dict for ``csr_edges``)."""
+        self.csr = arrays
         for k in _CSR_ARRAYS:
             setattr(self, k, arrays[k])
         self.edge_w = arrays.get("edge_w")
@@ -277,18 +303,6 @@ class Fragment:
             full[: self.ivnum] = dense
             self.vdata_full[c] = full
 
-    def edge_list(self):
-        """Current edges back in gid space: (src, dst, w|None).  The
-        inverse of ``csr_arrays`` — used by in-place mutation rebuilds."""
-        idx = np.asarray(self.indices, np.int64)
-        src = self.lo + np.asarray(self.src_of_edge, np.int64)
-        dst = np.where(idx < self.ivnum, self.lo + idx, 0)
-        m = idx >= self.ivnum
-        if m.any():
-            dst[m] = np.asarray(self.outer_gids, np.int64)[idx[m] - self.ivnum]
-        w = np.array(self.edge_w, np.float64) if self.edge_w is not None else None
-        return src, dst, w
-
     def apply_edge_mutations(self, op: np.ndarray, src: np.ndarray,
                              dst: np.ndarray, w: np.ndarray) -> None:
         """Apply a batch of edge ops to this fragment IN MEMORY and
@@ -298,12 +312,12 @@ class Fragment:
 
         ``op``: int8 codes (0=add/upsert, 1=delete); src/dst in gid
         space, already routed so every src is inner here; merged by
-        ``merge_edge_ops``, as mutate.py merges a spool.  The rebuild is
+        ``merge_edge_ops``, as mutate.py merges a stored CSR.  The rebuild is
         in-memory only — the graph dir is untouched, so a NEW engine on
         the same work_dir sees the pre-mutation graph (durable mutation
         is mutate_graph's job).
         """
-        ns, nd, nw = merge_edge_ops(*self.edge_list(), op, src, dst, w,
+        ns, nd, nw = merge_edge_ops(*csr_edges(self.csr, self.lo), op, src, dst, w,
                                     int(self.starts[-1]))
         self._set_csr(csr_arrays(ns, nd, nw, self.lo, self.hi))
         # vdata_full buffers are tvnum-sized: re-seat the inner segment;

@@ -13,25 +13,25 @@ whose key is touched, append the keys whose final op is add/update.
 The vertex universe is fixed (the reference's tests mutate edges under
 a fixed vfile); an op naming an unknown oid raises.
 
-Only partitions owning a touched src re-spool, and the same task
-writes their new CSR (``build.save_csr``); every other partition's
-spool files and CSR directory are hard-linked into the new graph
-directory.  Mutation cost is O(edges of touched partitions), not O(E).
+Only partitions owning a touched src are rewritten: one task reads the
+partition's stored CSR back as edges (``csr_edges``), merges the ops
+into them and writes the new CSR (``build.save_csr``); every other
+partition's CSR directory is hard-linked into the new graph directory.
+Mutation cost is O(edges of touched partitions), not O(E).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
-import uuid
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..ids import part_of
-from .build import GraphMeta, link_tree, publish_graph_dir, read_spool, save_csr
-from .fragment import merge_edge_ops
+from .build import GraphMeta, link_tree, publish_graph_dir, save_csr
+from .fragment import csr_dir, csr_edges, csr_num_edges, load_arrays, merge_edge_ops
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -62,22 +62,14 @@ def load_delta_file(path: str) -> pa.Table:
         return parse_delta_lines(f)
 
 
-def _mutate_partition(work_dir: str, p: int, out_dir: str, starts, has_w: bool,
+def _mutate_partition(work_dir: str, p: int, out_dir: str, starts,
                       op: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       w: np.ndarray) -> int:
-    """Merge one partition's spool with its ops (``merge_edge_ops``, in
-    arrival order), write the merged spool and its CSR into ``out_dir``;
-    returns the new row count."""
-    ns, nd, nw = merge_edge_ops(*read_spool(work_dir, p, has_w), op, src, dst, w,
-                                int(starts[-1]))
-    out = {"src_gid": ns, "dst_gid": nd}
-    if has_w:
-        out["w"] = nw
-    out_pdir = os.path.join(out_dir, "edges", f"part={p}")
-    os.makedirs(out_pdir, exist_ok=True)
-    if len(ns):
-        pq.write_table(pa.table(out),
-                       os.path.join(out_pdir, f"{uuid.uuid4().hex[:12]}.parquet"))
+    """Merge one partition's stored edges with its ops
+    (``merge_edge_ops``, in arrival order) and write their CSR into
+    ``out_dir``; returns the merged edge count."""
+    cur = csr_edges(load_arrays(csr_dir(work_dir, p), mmap=True)[0], int(starts[p]))
+    ns, nd, nw = merge_edge_ops(*cur, op, src, dst, w, int(starts[-1]))
     save_csr(out_dir, p, starts, ns, nd, nw)
     return len(ns)
 
@@ -114,39 +106,24 @@ def _apply_delta(meta: GraphMeta, delta: pa.Table, work: str) -> GraphMeta:
     for p in np.unique(owners):
         m = owners == p
         futs[int(p)] = mut.remote(meta.work_dir, int(p), work, meta.starts,
-                                  meta.has_weights, op[m], sg[m], dg[m], w[m])
+                                  op[m], sg[m], dg[m], w[m])
 
-    # hard-link what the delta leaves as is: untouched partitions' spool
-    # files and CSR, the vertex dictionary and the vdata
+    # hard-link what the delta leaves as is: untouched partitions' CSR,
+    # the vertex dictionary and the vdata
     keep = [p for p in range(meta.num_partitions) if p not in futs]
-    links = [(os.path.join(meta.work_dir, sub, f"part={p}"), os.path.join(work, sub, f"part={p}"))
-             for p in keep for sub in ("edges", "snapshot")]
+    links = [(csr_dir(meta.work_dir, p), csr_dir(work, p)) for p in keep]
     if not meta.extra.get("identity_oids") and os.path.isdir(meta.vertices_path):
         links.append((meta.vertices_path, os.path.join(work, "vertices")))
     links += [(d, os.path.join(work, "vdata", os.path.basename(d)))
               for d in glob.glob(os.path.join(meta.work_dir, "vdata", "part=*"))]
     for sdir, ddir in links:
-        if os.path.isdir(sdir):  # a partition without rows has no spool dir
-            link_tree(sdir, ddir)
-    n_rows = {p: sum(pq.ParquetFile(f).metadata.num_rows
-                     for f in glob.glob(os.path.join(work, "edges", f"part={p}", "*.parquet")))
-              for p in keep}
-
-    for p, fut in futs.items():
-        n_rows[p] = ray.get(fut)
-
-    new_meta = GraphMeta(
-        work_dir=work,
-        num_vertices=meta.num_vertices,
-        num_edges=int(sum(n_rows.values())),
-        num_partitions=meta.num_partitions,
-        starts=meta.starts.copy(),
-        directed=meta.directed,
-        oid_type=meta.oid_type,
-        has_weights=meta.has_weights,
+        link_tree(sdir, ddir)
+    num_edges = (sum(csr_num_edges(csr_dir(work, p)) for p in keep)
+                 + sum(ray.get(list(futs.values()))))
+    new_meta = dataclasses.replace(
+        meta, work_dir=work, num_edges=int(num_edges), starts=meta.starts.copy(),
         fingerprint=f"{meta.fingerprint}+delta" if meta.fingerprint else "",
         # the base graph's build record does not describe this one
-        extra={k: v for k, v in meta.extra.items() if k != "build"},
-    )
+        extra={k: v for k, v in meta.extra.items() if k != "build"})
     new_meta.save()
     return new_meta

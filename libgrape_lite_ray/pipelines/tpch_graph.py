@@ -123,7 +123,7 @@ def graph_meta_for(sf_dir: str, variant: str = "directed", num_partitions: int =
     directed | undirected | weighted | vdata (directed + per-vertex
     order-count property) | vdata_str (directed + per-vertex STRING
     tag property) | reversed (in-edge direction of the
-    directed graph, one route-only spool transpose — see
+    directed graph, one route-only transpose of its stored CSRs — see
     build.reverse_graph)."""
     if variant == "reversed":
         from ..graph.build import reverse_graph

@@ -53,7 +53,7 @@ def run_web_analytics(pages_ds, work_dir: str, num_partitions: int = 4,
     """pages -> {pagerank, wcc} result Datasets (gid space) + metas."""
     edges = extract_edges(pages_ds)
     meta_d = build_graph(edges, os.path.join(work_dir, "directed"), num_partitions)
-    del edges  # free the blocks: the undirected view reads the donor's spool files
+    del edges  # free the blocks: the undirected view reads the donor's CSRs
     eng = GraphEngine(meta_d)
     pr_ds, pr_metrics = eng.run("pagerank", {"rounds": pr_rounds})
     pr_tbl = pr_ds.to_pandas()

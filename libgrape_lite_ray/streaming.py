@@ -11,8 +11,8 @@ import-gated stub documenting the consumer shape
 
 Each micro-batch:
 1. ``mutate_graph`` applies the delta (only touched partitions
-   re-spool and rewrite their CSR; untouched partitions' spool files
-   and CSR directories are hard-linked);
+   rewrite their CSR; untouched partitions' CSR directories are
+   hard-linked);
 2. the engine reloads into the SAME warm actor pool
    (``reuse_engine``), so per-batch cost is proportional to the delta,
    not the graph;
@@ -132,7 +132,7 @@ class MicroBatchLoop:
         metrics["generation"] = self.generation
         metrics["num_edges"] = self.meta.num_edges
         # bound disk usage: old generations are hard-link forests, but
-        # their re-spooled partitions are real bytes
+        # their rewritten partitions are real bytes
         while len(self._dirs) > self.keep_generations:
             old = self._dirs.pop(0)
             shutil.rmtree(old, ignore_errors=True)

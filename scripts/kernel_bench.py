@@ -46,7 +46,7 @@ def load_host(meta: GraphMeta) -> FragmentHost:
     starts no heap prewarm."""
     P = meta.num_partitions
     host = FragmentHost(0, range(P), np.zeros(P, np.int64), meta.work_dir,
-                        meta.starts.tolist(), meta.has_weights)
+                        meta.starts.tolist())
     host.produce("mirror")
     host.receive("mirror", [])
     return host

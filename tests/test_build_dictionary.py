@@ -8,18 +8,18 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray.graph.build import build_graph
+from libgrape_lite_ray.graph.fragment import load_arrays
 from libgrape_lite_ray.ids import weighted_partition_starts
 
 P = 4
 
 
-def _edges_ds():
-    import ray.data as rd
-
+def _edge_table() -> pa.Table:
     rng = np.random.default_rng(11)
     n, m = 5000, 20000
     # hub-skewed endpoints, and oid order unrelated to the draw order
@@ -28,9 +28,15 @@ def _edges_ds():
     names = [f"https://h{(i * 7919) % 97:02d}.example/p{i}" for i in range(n)]
     s = pa.array([names[i] for i in src], pa.string())
     d = pa.array([names[i] for i in dst], pa.string())
+    return pa.table({"src": s, "dst": d})
+
+
+def _edges_ds():
+    import ray.data as rd
+
+    t = _edge_table()
     # several input blocks, so per-block partials repeat oids
-    t = pa.table({"src": s, "dst": d})
-    return rd.from_arrow([t.slice(i, 4000) for i in range(0, m, 4000)])
+    return rd.from_arrow([t.slice(i, 4000) for i in range(0, t.num_rows, 4000)])
 
 
 def _vertices(meta) -> pa.Table:
@@ -38,10 +44,16 @@ def _vertices(meta) -> pa.Table:
     return t.sort_by("gid")
 
 
-def _edge_multiset(meta) -> np.ndarray:
-    t = pq.read_table(meta.spool_dir, columns=["src_gid", "dst_gid"])
-    e = np.stack([t.column("src_gid").to_numpy(), t.column("dst_gid").to_numpy()], 1)
-    return e[np.lexsort((e[:, 1], e[:, 0]))]
+def _csrs(meta) -> list[dict]:
+    return [load_arrays(os.path.join(meta.work_dir, "snapshot", f"part={p}"))[0]
+            for p in range(meta.num_partitions)]
+
+
+def _input_gids(t: pa.Table, oids: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """``t``'s src and dst as gids: each oid's rank among ``oids``."""
+    order = pc.sort_indices(oids)
+    return tuple(pc.index_in(t.column(c), value_set=oids.take(order)).to_numpy()
+                 for c in ("src", "dst"))
 
 
 CASES = {
@@ -72,16 +84,27 @@ def test_one_task_dictionary_matches_sort_path(ray_session, tmp_work, case, monk
     assert a.num_partitions == b.num_partitions
     assert np.array_equal(a.starts, b.starts)
     assert _vertices(a).equals(_vertices(b))
-    got = _edge_multiset(a)
-    assert np.array_equal(got, _edge_multiset(b))
+    for x, y in zip(_csrs(a), _csrs(b)):
+        assert sorted(x) == sorted(y)
+        for k in x:
+            assert x[k].dtype == y[k].dtype and np.array_equal(x[k], y[k]), k
     if "vertices_ds" in kw:
         oids = _vertices(a).column("oid").to_pylist()
         assert "https://isolated.example/" in oids
 
-    # the one-task starts are deterministic and exact
+    # the one-task starts are deterministic and exact: the per-vertex
+    # deg + 1 split, deg counted over every routed copy of an input row
     V = a.num_vertices
     assert np.array_equal(small[0].starts, small[1].starts)
-    deg = (np.bincount(got[:, 0], minlength=V) + np.bincount(got[:, 1], minlength=V))
+    t = _edge_table()
+    isolated = ["https://isolated.example/"] if "vertices_ds" in kw else []
+    oids = pc.unique(pa.concat_arrays([t.column("src").combine_chunks(),
+                                       t.column("dst").combine_chunks(),
+                                       pa.array(isolated, pa.string())]))
+    src, dst = _input_gids(t, oids)
+    assert len(oids) == V
+    copies = 2 if kw.get("symmetrize") else 1
+    deg = copies * (np.bincount(src, minlength=V) + np.bincount(dst, minlength=V))
     want = weighted_partition_starts(np.arange(V), deg + 1, V, a.num_partitions)
     assert np.array_equal(a.starts, want)
 

@@ -1,10 +1,9 @@
 """The build runs as plain Ray tasks over the edge Dataset's block refs:
 a graph of at most ``_BROADCAST_VERTICES`` vertices starts no Ray Data
 execution, a shattered input builds the same graph as a one-block one,
-two builds from one Dataset write the same spool bytes, and every build
+two builds from one Dataset publish the same CSR bytes, and every build
 records its passes, the CSR pass included, in ``meta.extra["build"]``."""
 
-import glob
 import math
 import os
 
@@ -19,6 +18,7 @@ from libgrape_lite_ray.graph.build import (
     edges_from_numpy,
     reverse_graph,
 )
+from libgrape_lite_ray.graph.fragment import csr_dir, csr_num_edges
 
 P = 4
 
@@ -38,18 +38,15 @@ def _blocks(t: pa.Table, k: int):
     return rd.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
 
 
-def _part_files(meta: GraphMeta, p: int) -> list[str]:
-    return sorted(glob.glob(os.path.join(meta.spool_dir, f"part={p}", "*.parquet")))
-
-
-def _part_rows(meta: GraphMeta, p: int) -> np.ndarray:
-    """Partition p's spool rows as a sorted (src, dst) array."""
-    files = _part_files(meta, p)
-    if not files:
-        return np.empty((0, 2), np.int64)
-    t = pa.concat_tables([pq.read_table(f) for f in files])
-    e = np.stack([t.column("src_gid").to_numpy(), t.column("dst_gid").to_numpy()], 1)
-    return e[np.lexsort((e[:, 1], e[:, 0]))]
+def _csr_files(meta: GraphMeta) -> dict:
+    """``{path relative to snapshot/: bytes}`` of every partition's CSR."""
+    root = os.path.join(meta.work_dir, "snapshot")
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(dirpath, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(dirpath, f), root)] = fh.read()
+    return out
 
 
 def _vertices(meta: GraphMeta) -> pa.Table:
@@ -73,7 +70,8 @@ def executions(monkeypatch):
 
 
 def test_small_builds_start_no_ray_data_execution(ray_session, tmp_work, executions):
-    edges = _blocks(_edge_table(), 8)
+    t = _edge_table()
+    edges = _blocks(t, 8)
     d = build_graph(edges, os.path.join(tmp_work, "d"), P)
     u = build_graph(None, os.path.join(tmp_work, "u"), P, directed=False, symmetrize=True,
                     reuse_vertices_from=d)
@@ -82,7 +80,10 @@ def test_small_builds_start_no_ray_data_execution(ray_session, tmp_work, executi
     x = build_graph(edges_from_numpy(rng.integers(0, 300, 2000), rng.integers(0, 300, 2000)),
                     os.path.join(tmp_work, "x"), P, dense_int_oids=True)
     assert executions == []
-    assert u.num_edges == 2 * d.num_edges == 2 * r.num_edges
+    # the views route the donor's stored edges: one per distinct pair
+    distinct = len(set(zip(t.column("src").to_pylist(), t.column("dst").to_pylist())))
+    assert d.num_edges == t.num_rows
+    assert u.num_edges == 2 * r.num_edges == 2 * distinct
     assert x.num_edges == 2000
 
 
@@ -95,17 +96,16 @@ def test_shattered_input_builds_the_same_graph(ray_session, tmp_work):
 
     assert _vertices(one).equals(_vertices(many))
     assert np.array_equal(one.starts, many.starts)
+    assert _csr_files(one) == _csr_files(many)
+    # groups of up to 4M rows: at most one spool file per group and partition
     max_files = math.ceil(t.num_rows / 4_000_000)
-    for p in range(P):
-        assert np.array_equal(_part_rows(one, p), _part_rows(many, p))
-        assert len(_part_files(many, p)) <= max_files
+    assert many.extra["build"]["spool_files"] <= P * max_files
 
 
-def test_spool_bytes_reproducible(ray_session, tmp_work):
-    """Route tasks concatenate their group's blocks in block order, so
-    two builds from one materialized Dataset (and the undirected views
-    derived from them) write byte-identical files; only the uuid in the
-    names differs."""
+def test_csr_bytes_reproducible(ray_session, tmp_work):
+    """Two builds from one materialized Dataset (and the undirected
+    views derived from them) publish byte-identical CSR directories,
+    names included."""
     edges = _blocks(_edge_table(), 8).materialize()
     metas = []
     for i in range(2):
@@ -113,12 +113,9 @@ def test_spool_bytes_reproducible(ray_session, tmp_work):
         metas += [d, build_graph(None, os.path.join(tmp_work, f"u{i}"), P, directed=False,
                                  symmetrize=True, reuse_vertices_from=d)]
 
-    def contents(meta, p):
-        return sorted(open(f, "rb").read() for f in _part_files(meta, p))
-
     for a, b in (metas[0::2], metas[1::2]):
-        for p in range(P):
-            assert contents(a, p) and contents(a, p) == contents(b, p)
+        files = _csr_files(a)
+        assert len(files) > P and files == _csr_files(b)
 
 
 def test_build_record(ray_session, tmp_work):
@@ -128,5 +125,7 @@ def test_build_record(ray_session, tmp_work):
                         "rows_routed", "spool_files"}
     assert rec["rows_routed"] == meta.num_edges
     assert rec["rows_in"] == 6000
-    assert rec["spool_files"] == sum(len(_part_files(meta, p)) for p in range(P))
+    # one route group: one spool file per partition it routed rows to
+    assert rec["spool_files"] == sum(csr_num_edges(csr_dir(meta.work_dir, p)) > 0
+                                     for p in range(P))
     assert all(rec[k] >= 0 for k in ("partials_s", "dictionary_s", "route_s", "csr_s"))

@@ -1,9 +1,9 @@
 """Undirected and reversed views all come from the one direction-aware
-spool router.  A from-scratch symmetrized build and the undirected
-view of a built graph must both hold exactly the edge multiset
-directed ∪ transpose(directed); ``reverse_graph`` must hold
-transpose(directed); every spool row must sit in the partition that
-owns its source."""
+router.  A from-scratch symmetrized build and the undirected view of a
+built graph must both store exactly the edges of input ∪
+transpose(input); ``reverse_graph`` must store transpose(input); every
+stored edge must sit in the partition that owns its source.  Stored
+edges are deduped unless weighted (weighted multi-edges all stay)."""
 
 import glob
 import os
@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy, reverse_graph
+from libgrape_lite_ray.graph.fragment import csr_edges, load_arrays
 from libgrape_lite_ray.ids import weighted_partition_starts
 
 P = 4
@@ -30,6 +31,9 @@ def _draw(weighted: bool):
     return src.astype(np.int64), dst.astype(np.int64), w
 
 
+_NAMES = np.array([f"https://h{(i * 31) % 13}.example/p{i}" for i in range(N)])
+
+
 def _edges(kind: str, weighted: bool):
     """Several input blocks, so per-block partials and routes repeat."""
     import ray.data as rd
@@ -37,20 +41,43 @@ def _edges(kind: str, weighted: bool):
     src, dst, w = _draw(weighted)
     if kind == "dense":
         return edges_from_numpy(src, dst, w)
-    names = np.array([f"https://h{(i * 31) % 13}.example/p{i}" for i in range(N)])
-    cols = {"src": pa.array(names[src]), "dst": pa.array(names[dst])}
+    cols = {"src": pa.array(_NAMES[src]), "dst": pa.array(_NAMES[dst])}
     if weighted:
         cols["w"] = pa.array(w)
     t = pa.table(cols)
     return rd.from_arrow([t.slice(i, BLOCK) for i in range(0, M, BLOCK)])
 
 
-def _rows(meta, path=None) -> np.ndarray:
-    """Spool rows as an (n, 2|3) float array sorted lexicographically."""
-    cols = ["src_gid", "dst_gid"] + (["w"] if meta.has_weights else [])
-    t = pq.read_table(path or meta.spool_dir, columns=cols)
-    e = np.stack([t.column(c).to_numpy().astype(np.float64) for c in cols], 1)
+def _sorted(e: np.ndarray) -> np.ndarray:
     return e[np.lexsort(e.T[::-1])]
+
+
+def _part_rows(meta, p: int) -> np.ndarray:
+    """Partition p's stored edges as an (n, 2|3) float array."""
+    arrays, _ = load_arrays(os.path.join(meta.work_dir, "snapshot", f"part={p}"))
+    s, d, w = csr_edges(arrays, int(meta.starts[p]))
+    return np.stack([s, d] + ([] if w is None else [w]), 1).astype(np.float64)
+
+
+def _rows(meta) -> np.ndarray:
+    """Every stored edge, sorted lexicographically."""
+    return _sorted(np.concatenate([_part_rows(meta, p) for p in range(meta.num_partitions)]))
+
+
+def _input(kind: str, weighted: bool) -> np.ndarray:
+    """The input edges in gid space (gid = rank of the oid among the
+    vertices), as an (M, 2|3) float array sorted lexicographically."""
+    src, dst, w = _draw(weighted)
+    if kind != "dense":
+        oids = _NAMES[np.unique(np.concatenate([src, dst]))]
+        src, dst = (np.searchsorted(np.sort(oids), _NAMES[x]) for x in (src, dst))
+    return _sorted(np.stack([src, dst] + ([] if w is None else [w]), 1).astype(np.float64))
+
+
+def _stored(e: np.ndarray) -> np.ndarray:
+    """What the edge store keeps of the edges ``e``: every weighted
+    row, one of each unweighted (src, dst)."""
+    return e if e.shape[1] == 3 else np.unique(e, axis=0)
 
 
 def _transpose(e: np.ndarray) -> np.ndarray:
@@ -84,18 +111,20 @@ def views(request, ray_session, tmp_path_factory):
                     reuse_vertices_from=d)
     rev_side_effect = os.path.exists(os.path.join(d.work_dir, "rev"))
     r = reverse_graph(d)
-    return {"kind": kind, "d": d, "s": s, "u": u, "r": r,
+    return {"kind": kind, "d": d, "s": s, "u": u, "r": r, "e": _input(kind, weighted),
             "rev_side_effect": rev_side_effect}
 
 
 def test_symmetrized_views_are_directed_plus_transpose(views):
-    d, s, u = views["d"], views["s"], views["u"]
-    e = _rows(d)
+    d, s, u, e = views["d"], views["s"], views["u"], views["e"]
     assert len(e) == M and d.num_edges == M and d.directed
-    want = _union(e, _transpose(e))
+    assert np.array_equal(_rows(d), _stored(e))
+    want = _stored(_union(e, _transpose(e)))
+    # rows routed: the input rows twice; the view routes the donor's
+    # stored edges twice
+    assert s.num_edges == 2 * M and u.num_edges == 2 * len(_rows(d))
     for meta in (s, u):
         assert not meta.directed
-        assert meta.num_edges == 2 * M
         assert meta.num_vertices == d.num_vertices
         assert meta.has_weights == d.has_weights
         assert np.array_equal(_rows(meta), want)
@@ -109,10 +138,10 @@ def test_reverse_graph_is_transpose_and_cached(views):
     d, r = views["d"], views["r"]
     rev_dir = os.path.join(d.work_dir, "rev")
     assert r.work_dir == rev_dir and r.directed == d.directed
-    assert r.num_edges == d.num_edges
+    assert r.num_edges == len(_rows(d))
     assert np.array_equal(r.starts, d.starts)
     assert r.extra["reversed_of"] == d.work_dir
-    assert np.array_equal(_rows(r), _transpose(_rows(d)))
+    assert np.array_equal(_rows(r), _stored(_transpose(views["e"])))
 
     files = sorted(glob.glob(os.path.join(rev_dir, "**", "*"), recursive=True))
     mtime = os.path.getmtime(os.path.join(rev_dir, "graph_meta.json"))
@@ -124,16 +153,17 @@ def test_reverse_graph_is_transpose_and_cached(views):
 
 
 def test_spool_rows_sit_in_owner_partition(views):
-    for name in ("d", "s", "u", "r"):
+    """Each routed row lands in the CSR of the partition that owns its
+    source, and that CSR holds nothing else."""
+    e = views["e"]
+    want = {"d": _stored(e), "r": _stored(_transpose(e))}
+    want["s"] = want["u"] = _stored(_union(e, _transpose(e)))
+    for name, rows in want.items():
         meta = views[name]
-        seen = 0
-        for pdir in glob.glob(os.path.join(meta.spool_dir, "part=*")):
-            p = int(os.path.basename(pdir).split("=")[1])
-            for f in glob.glob(os.path.join(pdir, "*.parquet")):
-                sg = pq.read_table(f, columns=["src_gid"]).column("src_gid").to_numpy()
-                assert sg.min() >= meta.starts[p] and sg.max() < meta.starts[p + 1], name
-                seen += len(sg)
-        assert seen == meta.num_edges, name
+        for p in range(meta.num_partitions):
+            lo, hi = meta.starts[p], meta.starts[p + 1]
+            mine = rows[(rows[:, 0] >= lo) & (rows[:, 0] < hi)]
+            assert np.array_equal(_sorted(_part_rows(meta, p)), mine), (name, p)
 
 
 def test_symmetrize_keeps_the_directed_dictionary(views):
@@ -148,10 +178,10 @@ def test_symmetrize_keeps_the_directed_dictionary(views):
         assert _vertices(u).equals(vd)
         assert _vertices(views["r"]).equals(vd)
     # from-scratch starts are the exact per-vertex deg + 1 split of the
-    # symmetrized spool (each input row counted once per routed copy)
-    e = _rows(s)[:, :2].astype(np.int64)
+    # symmetrized input (each input row counted once per routed copy)
+    e = views["e"][:, :2].astype(np.int64)
     V = s.num_vertices
-    deg = np.bincount(e[:, 0], minlength=V) + np.bincount(e[:, 1], minlength=V)
+    deg = 2 * (np.bincount(e[:, 0], minlength=V) + np.bincount(e[:, 1], minlength=V))
     want = weighted_partition_starts(np.arange(V), deg + 1, V, s.num_partitions)
     assert np.array_equal(s.starts, want)
 

@@ -101,7 +101,7 @@ def test_mutated_spool_equals_full_build(ray_session, tmp_path_factory, mutated_
     meta = mutated_undirected
     got = []
     for p in range(meta.num_partitions):
-        f = Fragment(p, meta.work_dir, meta.starts, False)
+        f = Fragment(p, meta.work_dir, meta.starts)
         rows = np.repeat(np.arange(f.ivnum) + f.lo, np.diff(f.indptr))
         loc = f.indices.astype(np.int64)
         dsts = np.where(loc < f.ivnum, loc + f.lo,

@@ -8,19 +8,13 @@ weights made the donor starts blind to the hub, packing all its
 reverse edges into one partition of the undirected build (measured
 ~1.8x the mean on this topology)."""
 
-import glob
-import os
-
 import numpy as np
-import pyarrow.parquet as pq
 
 
-def _spool_counts(meta):
-    counts = []
-    for p in range(meta.num_partitions):
-        files = glob.glob(os.path.join(meta.spool_dir, f"part={p}", "*"))
-        counts.append(sum(pq.ParquetFile(f).metadata.num_rows for f in files))
-    return counts
+def _edge_counts(meta):
+    from libgrape_lite_ray.graph.fragment import csr_dir, csr_num_edges
+
+    return [csr_num_edges(csr_dir(meta.work_dir, p)) for p in range(meta.num_partitions)]
 
 
 def _hub_ring():
@@ -40,8 +34,9 @@ def _assert_symmetrized_donor_balanced(tmp_work, **kw):
     meta_u = build_graph(None, f"{tmp_work}/u", 4, directed=False,
                          symmetrize=True, reuse_vertices_from=meta_d)
 
-    counts = _spool_counts(meta_u)
-    assert sum(counts) == meta_u.num_edges
+    counts = _edge_counts(meta_u)
+    pairs = np.stack([np.concatenate([src, dst]), np.concatenate([dst, src])], 1)
+    assert sum(counts) == len(np.unique(pairs, axis=0))
     mean = sum(counts) / len(counts)
     # the hub's total degree is ~17% of all symmetrized edges (< the
     # 25% per-partition target), so balanced starts are feasible; the

@@ -42,7 +42,7 @@ def test_fragment_sorts_and_dedups_spool(tmp_work, files, v, want, num_edges):
         _write(d, name, rows)
     starts = np.array([0, 10])
     write_csr(tmp_work, 0, starts, False)
-    frag = Fragment(0, tmp_work, starts, False)
+    frag = Fragment(0, tmp_work, starts)
     lo, hi = frag.indptr[v], frag.indptr[v + 1]
     assert np.array_equal(frag.indices[lo:hi], want)
     assert frag.out_degree[v] == len(want)
@@ -72,7 +72,7 @@ def test_build_spool_globally_sorted_small_blocks(ray_session, tmp_work, trial):
     want = np.unique(np.stack([src, dst], axis=1), axis=0)
     got_parts = []
     for p in range(meta.num_partitions):
-        frag = Fragment(p, meta.work_dir, meta.starts, False)
+        frag = Fragment(p, meta.work_dir, meta.starts)
         e0, e1 = frag.indptr[:-1], frag.indptr[1:]
         rows = np.repeat(np.arange(frag.ivnum), (e1 - e0)) + frag.lo
         # reconstruct dst gids from local indices

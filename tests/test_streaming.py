@@ -38,10 +38,12 @@ def test_micro_batch_wcc_converges_to_full(ray_session, tmp_work):
         r2, m2 = loop.step(_delta(["a"], [0], [99]))
         comp2 = r2.to_pandas().sort_values("gid")["comp"].to_numpy()
         assert len(np.unique(comp2)) == 1
-        assert m2["generation"] == 2 and m2["num_edges"] == base.num_edges + 4
-        # equivalence with a full build of base + both deltas
+        # equivalence with a full build of base + both deltas; a
+        # mutation counts its stored (deduped) edges, both directions
         s3 = np.concatenate([src, [0, 0]])
         d3 = np.concatenate([dst, [7, 99]])
+        stored = np.unique(np.stack([np.append(s3, d3), np.append(d3, s3)], 1), axis=0)
+        assert m2["generation"] == 2 and m2["num_edges"] == len(stored)
         want = oracle.wcc(s3, d3, n)
         assert np.array_equal(comp2, want)
     finally:

@@ -244,12 +244,12 @@ def test_apply_round_harvest_not_deferred(ray_session, tmp_work):
 
 
 def test_mutate_graph_matches_in_process_apply(ray_session, tmp_work):
-    """One delta through ``mutate_graph`` (the spool rewrite) and the
+    """One delta through ``mutate_graph`` (the stored CSR rewrite) and the
     same ops through ``Fragment.apply_edge_mutations`` on the base
     graph's fragments give equal edge lists, on a weighted symmetrized
     graph: both run the one last-op-wins merge."""
     from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
-    from libgrape_lite_ray.graph.fragment import Fragment
+    from libgrape_lite_ray.graph.fragment import Fragment, csr_edges
     from libgrape_lite_ray.graph.mutate import mutate_graph, parse_delta_lines
     from libgrape_lite_ray.ids import part_of
 
@@ -279,15 +279,15 @@ def test_mutate_graph_matches_in_process_apply(ray_session, tmp_work):
                     np.concatenate([d, s]), np.concatenate([ww, ww]))
     owner = part_of(s, meta.starts)
     for p in range(meta.num_partitions):
-        f = Fragment(p, meta.work_dir, meta.starts, True)
+        f = Fragment(p, meta.work_dir, meta.starts)
         m = owner == p
         f.apply_edge_mutations(op[m], s[m], d[m], ww[m])
-        g = Fragment(p, new.work_dir, new.starts, True)
-        for a, b in zip(f.edge_list(), g.edge_list()):
+        g = Fragment(p, new.work_dir, new.starts)
+        for a, b in zip(csr_edges(f.csr, f.lo), csr_edges(g.csr, g.lo)):
             assert np.array_equal(a, b), p
     # the delta took effect: (1, 9) once at 0.75, (4, 12) and (7, 25) gone
     es, ed, ew = (np.concatenate(x) for x in zip(*(
-        Fragment(p, new.work_dir, new.starts, True).edge_list()
+        csr_edges(Fragment(p, new.work_dir, new.starts).csr, int(new.starts[p]))
         for p in range(new.num_partitions))))
     key = dict(zip(zip(es.tolist(), ed.tolist()), ew.tolist()))
     assert key[(1, 9)] == key[(9, 1)] == 0.75 and ((es == 1) & (ed == 9)).sum() == 1

@@ -15,8 +15,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray import fixtures
-from libgrape_lite_ray.graph.build import attach_oids, build_graph, edges_from_numpy
+from libgrape_lite_ray.graph.build import GraphMeta, attach_oids, build_graph, edges_from_numpy
 from libgrape_lite_ray.graph.driver import GraphEngine
+from libgrape_lite_ray.graph.fragment import csr_dir, csr_edges, load_arrays
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -203,7 +204,9 @@ def test_mutate_driver_memory_stays_below_the_dictionary(ray_session, tmp_work):
     w_src, w_dst = (np.array(c) for c in zip(*sorted(want)))
     want_gids = pairs(meta.gids_of(names(pa.table({"id": w_src})).column("oid")),
                       meta.gids_of(names(pa.table({"id": w_dst})).column("oid")))
-    mutated = pq.read_table(os.path.join(tmp_work, "mutated", "edges"))
-    assert mutated.num_rows == res["num_edges"]
-    assert pairs(mutated.column("src_gid").to_numpy(),
-                 mutated.column("dst_gid").to_numpy()) == want_gids
+    mutated = GraphMeta.load(os.path.join(tmp_work, "mutated"))
+    m_src, m_dst = (np.concatenate(x) for x in zip(*(
+        csr_edges(load_arrays(csr_dir(mutated.work_dir, p))[0], int(mutated.starts[p]))[:2]
+        for p in range(mutated.num_partitions))))
+    assert len(m_src) == res["num_edges"]
+    assert pairs(m_src, m_dst) == want_gids
