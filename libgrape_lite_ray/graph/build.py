@@ -16,29 +16,27 @@ per-partition CSRs, in place of the reference's MPI load pipeline
   4. ONE oid->gid translate (``_translate``, also for vertex data):
      ``pc.index_in`` against the broadcast sorted oids, or one
      Dataset.join per oid column above the threshold,
-  5. a ROUTE-ONLY partitioned Parquet spool: each row goes to its
-     owner's ``edges/part=p/`` (basic_fragment_loader.h:155-172); no
-     sort runs over the edges,
-  6. one task per partition sorts and dedups its slice of the spool
-     into the fragment's CSR (immutable_csr.h:100-107, the fragment
-     Init that ends the reference's loader) and writes it as
-     ``snapshot/part={p}/`` (``write_csr``), an empty partition
-     included.  The spool is private to the build and deleted once
-     every CSR is written: the CSRs, which a fragment load only maps,
-     are a published graph dir's one edge store.
+  5. a ROUTE-ONLY owner split (basic_fragment_loader.h:155-172): a
+     route task returns partition p's rows as its p-th object, as the
+     result sink splits its blocks; no sort, nothing written to disk,
+  6. one task per partition sorts and dedups its pieces into the
+     fragment's CSR (immutable_csr.h:100-107, the fragment Init that
+     ends the reference's loader) and writes it as ``snapshot/part={p}/``
+     (``write_csr``), an empty partition included: a published graph
+     dir's one edge store, which a fragment load only maps.
 
 Every step runs as plain 1-CPU Ray tasks over block refs (groups of at
 most ``_ROUTE_ROWS`` rows), like ``sinks.write_dataset_partitioned``:
 the calling process only routes refs, and a build within the threshold
 starts no Ray Data execution.  A route task concatenates its group in
-block order, so the spool bytes depend only on the input blocks.
-Everything lands in the build's tmp dir, which ``publish_graph_dir``
-renames into place: a published graph dir holds every partition's CSR.
+block order, and a CSR task its pieces in group order, so a partition's
+rows depend only on the input blocks.  Everything lands in the build's
+tmp dir, which ``publish_graph_dir`` renames into place.
 
-The router (``_spool_and_finish``) alone decides edge direction, like
-the reference's LoadStrategy (grape/types.h:63-68): a gid row ``(s, d,
-w)`` goes to owner(s) (``"out"``), as ``(d, s, w)`` to owner(d)
-(``"in"``), or both.  A directed build routes ``"out"``;
+The router (``_route_group``) alone decides edge direction, like the
+reference's LoadStrategy (grape/types.h:63-68): a gid row ``(s, d, w)``
+goes to owner(s) (``"out"``), as ``(d, s, w)`` to owner(d) (``"in"``),
+or both.  A directed build routes ``"out"``;
 ``symmetrize=True`` translates the E input rows once and routes
 ``"both"``; ``reverse_graph`` and ``reuse_vertices_from`` re-route a
 built graph's CSRs (``csr_edges``) ``"in"`` or ``"both"`` under its
@@ -46,13 +44,12 @@ dictionary and starts.  Dense int64 oids (``dense_int_oids=True``)
 skip 1, 2 and 4.
 
 ``meta.extra["build"]`` records the seconds of the partials, dictionary,
-route and CSR passes, rows in, rows routed and spool files.
+route and CSR passes, rows in, rows routed and non-empty pieces routed.
 """
 
 from __future__ import annotations
 
 import functools
-import glob
 import json
 import os
 import shutil
@@ -65,6 +62,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..ids import part_of, split_by_part, weighted_partition_starts
+from ..sinks import _write_one
 from .fragment import csr_arrays, csr_dir, csr_edges, csr_num_edges, load_arrays, save_arrays
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
@@ -89,6 +87,7 @@ class GraphMeta:
 
     @property
     def spool_dir(self) -> str:
+        """No build writes this dir: rows reach their owners as objects."""
         return os.path.join(self.work_dir, "edges")
 
     @property
@@ -172,10 +171,8 @@ def edges_from_numpy(src: np.ndarray, dst: np.ndarray, w: np.ndarray | None = No
     return rd.from_arrow(pa.table(cols))
 
 
-# rows per translate+route task: per-block routing of a many-block input
-# wrote O(blocks x P) tiny parquet files (8k files / 60KB each on the
-# 32M-row web graph — file-open overhead then dominated every fragment
-# load); groups of 4M rows bound the count to O(E/4M x P) real files
+# rows per translate+route task: groups of 4M rows bound the routed
+# pieces to O(E/4M x P), where per-block routing made O(blocks x P)
 _ROUTE_ROWS = 4_000_000
 _EDGE_GIDS = {"src": "src_gid", "dst": "dst_gid"}
 
@@ -205,9 +202,9 @@ def _block_groups(ds, max_rows: int = _ROUTE_ROWS):
 
 
 def _concat(items) -> pa.Table:
-    """One group's rows: its blocks (or whole partitions' stored edges,
-    by ``(CSR dir, first gid)``) concatenated in order.  Empty blocks
-    are skipped: Ray Data can hand them back with no columns at all."""
+    """One group's rows: its blocks or routed pieces, or whole partitions'
+    stored edges (by ``(CSR dir, first gid)``), concatenated in order.
+    Empty ones are skipped: they can come with no columns at all."""
     from ray.data.block import BlockAccessor
 
     ts = [_csr_table(*x) if isinstance(x, tuple) else BlockAccessor.for_block(x).to_arrow()
@@ -227,9 +224,10 @@ def _endpoint_partial(cols, copies: int, *blocks):
     count.  Each value of the ``cols`` columns weighs ``copies``: BOTH
     endpoints weigh 1 per routed copy of an edge (``copies=2`` when
     symmetrized; declared vertices weigh 0), so the summed cnt is the
-    total degree in the spool.  That is the balance the undirected view
-    needs (``reuse_vertices_from`` keeps the donor's starts) and a sound
-    proxy for directed work (push tracks out-, ingestion in-degree)."""
+    total degree over the routed rows.  That is the balance the
+    undirected view needs (``reuse_vertices_from`` keeps the donor's
+    starts) and a sound proxy for directed work (push tracks out-,
+    ingestion in-degree)."""
     t = _concat(blocks)
     if not t.num_rows:
         return t, 0
@@ -398,7 +396,7 @@ def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
     meta = GraphMeta(work_dir, int(num_vertices), 0, int(num_partitions),
                      np.asarray(starts, np.int64), directed, oid_type,
                      bool(weight_col), fingerprint)
-    return _spool_and_finish(meta, "both" if symmetrize else "out",
+    return _route_and_finish(meta, "both" if symmetrize else "out",
                              *_to_gids(edges_ds, meta, _EDGE_GIDS, dict_ref),
                              partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
                              rows_in=rows_in)
@@ -529,7 +527,7 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
                      weight_col, fingerprint) -> GraphMeta:
     """Fast path when oids are already dense int64 ids (0..V-1): gid ==
     oid, no dictionary build or translate — one task wave for the oid
-    range, one histogram wave for boundaries, then route to the spool.
+    range, one histogram wave for boundaries, then route to the owners.
     The production path for pre-normalized inputs (the reference's
     int-oid graphs with a dense id space)."""
     import ray
@@ -548,7 +546,7 @@ def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
     starts = _dataset_starts(edges_ds, V, P, copies=2 if symmetrize else 1)
     meta = GraphMeta(work_dir, V, 0, P, starts, directed, "int64", bool(weight_col),
                      fingerprint, extra={"identity_oids": True})
-    return _spool_and_finish(meta, "both" if symmetrize else "out",
+    return _route_and_finish(meta, "both" if symmetrize else "out",
                              *_to_gids(edges_ds, meta, _EDGE_GIDS),
                              partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
                              rows_in=rows_in)
@@ -599,7 +597,7 @@ def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
     meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
                      donor.directed, donor.oid_type, donor.has_weights, fingerprint,
                      extra=extra)
-    return _spool_and_finish(meta, direction, groups, partials_s=0.0,
+    return _route_and_finish(meta, direction, groups, partials_s=0.0,
                              dictionary_s=time.perf_counter() - t0, rows_in=rows_in)
 
 
@@ -625,7 +623,7 @@ def _translate(t: pa.Table, cols: dict, V: int, oids=None) -> pa.Table:
 
 def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
     """How ``ds``'s oid columns ``cols`` reach gid space, for edges and
-    vertex data: ``(block groups, oids, cols)`` for ``_route_all``,
+    vertex data: ``(block groups, oids, cols)`` for ``_route``,
     whose tasks ``_translate`` each group.  The route depends on V alone:
 
     - dense-int graphs: the oid is the gid;
@@ -653,91 +651,67 @@ def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
     return _block_groups(ds.select_columns(list(cols.values()) + rest))[0], None, None
 
 
-def _route_group(root: str, starts: np.ndarray, direction: str, oids, cols, name: str,
-                 *items):
+def _route_group(starts: np.ndarray, direction: str, oids, cols, *items):
     """One route task: a group's rows (``_translate``d first when
-    ``cols`` names oid columns), split by the owner of their first
-    column into one file ``root/part={p}/{name}_{p}.parquet`` per
-    partition p.  Returns ``(rows written, files written)``."""
+    ``cols`` names oid columns) split by the owner of their first
+    column; partition p's rows are return value p (bare when P = 1)."""
     t = _concat(items)
-    if not t.num_rows:
-        return 0, 0
-    if cols:
+    if t.num_rows and cols:
         t = _translate(t, cols, int(starts[-1]), oids)
-    copies = []
-    if direction != "in":
-        copies.append(t)
-    if direction != "out":
-        rev = {"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
-        if "w" in t.column_names:
-            rev["w"] = t.column("w")
-        copies.append(pa.table(rev))
-    t = pa.concat_tables(copies)
-    files = 0
-    for p, sub in split_by_part(t, part_of(t.column(0).to_numpy(), starts)):
-        pdir = os.path.join(root, f"part={p}")
-        os.makedirs(pdir, exist_ok=True)
-        pq.write_table(sub, os.path.join(pdir, f"{name}_{p}.parquet"))
-        files += 1
-    return t.num_rows, files
+    if t.num_rows and direction != "out":
+        rev = pa.table({"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
+                       | ({"w": t.column("w")} if "w" in t.column_names else {}))
+        t = pa.concat_tables(([t] if direction == "both" else []) + [rev])
+    pieces = split_by_part(t, part_of(t.column(0).to_numpy(), starts) if t.num_rows else [],
+                           len(starts) - 1)
+    return pieces if len(pieces) > 1 else pieces[0]
 
 
-def _route_all(root: str, groups, starts, direction: str, oids=None, cols=None):
+def _route(groups, starts, direction: str, oids=None, cols=None) -> list:
     """``_route_group`` over every group (block refs or CSR dirs) as
-    1-CPU tasks: half-CPU ones make Ray start and kill extra workers on
-    every call.  File names are the group index: every build writes
-    into a fresh tmp dir."""
+    1-CPU tasks (half-CPU ones make Ray start and kill extra workers on
+    every call).  Returns each partition's pieces in group order once
+    every route task is done."""
     import ray
 
-    route = ray.remote(_route_group)
-    return ray.get([route.remote(root, starts, direction, oids, cols, f"{i:06d}", *g)
-                    for i, g in enumerate(groups)])
+    P = len(starts) - 1
+    route = ray.remote(num_returns=P)(_route_group)
+    pieces = [route.remote(starts, direction, oids, cols, *g) for g in groups]
+    if P == 1:  # one return value comes back as a bare ref
+        pieces = [[r] for r in pieces]
+    refs = [r for g in pieces for r in g]
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return [[g[p] for g in pieces] for p in range(P)]
 
 
-def _spool_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
+def _route_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
                       **record) -> GraphMeta:
     """Route the groups (with a ``_to_gids`` translate, or a donor's
-    CSR dirs) into the edge spool, write every partition's CSR from it
-    and delete the spool, then count the rows into ``meta``, record the
-    build in ``meta.extra["build"]`` and save it.
+    CSR dirs) to their owners and write every partition's CSR from its
+    pieces, then count the rows into ``meta``, record the build in
+    ``meta.extra["build"]`` and save it.
 
     ``direction`` picks the copies each row ``(s, d, w)`` yields:
-    ``"out"`` writes it to owner(s), ``"in"`` writes ``(d, s, w)`` to
-    owner(d), ``"both"`` writes both (an undirected graph)."""
+    ``"out"`` sends it to owner(s), ``"in"`` sends ``(d, s, w)`` to
+    owner(d), ``"both"`` sends both (an undirected graph)."""
     import ray
 
-    # ---- 5. route-only spool: a map-side split by owner, no sort
+    # ---- 5. route only: a map-side split by owner, no sort
     t0 = time.perf_counter()
-    done = _route_all(meta.spool_dir, groups, meta.starts, direction, oids, cols)
-    # ---- 6. one task per partition sorts its slice into the CSR
+    pieces = _route(groups, meta.starts, direction, oids, cols)
+    # ---- 6. one task per partition sorts its pieces into the CSR
     t1 = time.perf_counter()
     csr = ray.remote(write_csr)
-    ray.get([csr.remote(meta.work_dir, p, meta.starts, meta.has_weights)
-             for p in range(meta.num_partitions)])
-    shutil.rmtree(meta.spool_dir, ignore_errors=True)
+    done = ray.get([csr.remote(meta.work_dir, p, meta.starts, meta.has_weights, *pieces[p])
+                    for p in range(meta.num_partitions)])
     meta.num_edges = int(sum(rows for rows, _ in done))
     meta.directed = meta.directed and direction != "both"
     meta.extra["build"] = record | {"route_s": t1 - t0,
                                     "csr_s": time.perf_counter() - t1,
                                     "rows_routed": meta.num_edges,
-                                    "spool_files": int(sum(f for _, f in done))}
+                                    "route_pieces": int(sum(n for _, n in done))}
     meta.save()
     return meta
-
-
-def read_spool(work_dir: str, p: int, has_weights: bool):
-    """Partition ``p``'s spool rows as gid-space ``(src, dst, w | None)``
-    arrays, in file order (empty when it has no file)."""
-    files = sorted(glob.glob(os.path.join(work_dir, "edges", f"part={p}", "*.parquet")))
-    if not files:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.float64) if has_weights else None)
-    cols = ["src_gid", "dst_gid"] + (["w"] if has_weights else [])
-    t = pa.concat_tables([pq.read_table(f, columns=cols, use_threads=False) for f in files])
-    return (t.column("src_gid").to_numpy(zero_copy_only=False).astype(np.int64),
-            t.column("dst_gid").to_numpy(zero_copy_only=False).astype(np.int64),
-            t.column("w").to_numpy(zero_copy_only=False).astype(np.float64)
-            if has_weights else None)
 
 
 def save_csr(work_dir: str, p: int, starts, src, dst, w) -> None:
@@ -747,11 +721,18 @@ def save_csr(work_dir: str, p: int, starts, src, dst, w) -> None:
                 csr_arrays(src, dst, w, int(starts[p]), int(starts[p + 1])))
 
 
-def write_csr(work_dir: str, p: int, starts, has_weights: bool) -> None:
-    """Partition ``p``'s CSR from its spool (``read_spool`` ->
-    ``save_csr``, the spool's one reader); a partition without rows
-    gets an empty one."""
-    save_csr(work_dir, p, starts, *read_spool(work_dir, p, has_weights))
+def write_csr(work_dir: str, p: int, starts, has_weights: bool, *pieces) -> tuple[int, int]:
+    """Partition ``p``'s CSR from its routed pieces (``save_csr``), an
+    empty one when no piece has a row.  Returns ``(rows, non-empty
+    pieces)``."""
+    t = _concat(pieces)
+
+    def col(c, dtype):
+        return np.asarray(t.column(c) if t.num_rows else [], dtype)
+
+    save_csr(work_dir, p, starts, col("src_gid", np.int64), col("dst_gid", np.int64),
+             col("w", np.float64) if has_weights else None)
+    return t.num_rows, sum(x.num_rows > 0 for x in pieces)
 
 
 def link_tree(src_dir: str, dst_dir: str) -> None:
@@ -765,17 +746,29 @@ def link_tree(src_dir: str, dst_dir: str) -> None:
 
 def _write_vdata(vdata_ds, meta: GraphMeta):
     """Translate a per-vertex property Dataset (oid, cols...) to gid
-    space and spool it partitioned by owner under
-    ``work_dir/vdata/part={p}/`` (ref basic_fragment_loader.h:300-338
-    vertex-data routing).  V-sized, so per-partition files are written
-    unsorted; the fragment sorts its own slice at load."""
+    space and route it to its owners, then commit each partition's rows
+    as ``work_dir/vdata/part={p}/`` (ref basic_fragment_loader.h:300-338
+    vertex-data routing).  V-sized, so the rows are written unsorted;
+    the fragment sorts its own slice at load."""
+    import ray
+
     cols = [c for c in vdata_ds.schema().names if c != "oid"]
     if not cols:
         raise ValueError("vdata_ds needs at least one value column besides 'oid'")
     groups, oids, key = _to_gids(vdata_ds, meta, {"oid": "gid"})
-    _route_all(os.path.join(meta.work_dir, "vdata"), groups, meta.starts, "out", oids, key)
+    pieces = _route(groups, meta.starts, "out", oids, key)
+    commit = ray.remote(_commit_vdata)
+    ray.get([commit.remote(os.path.join(meta.work_dir, "vdata", f"part={p}"), *pieces[p])
+             for p in range(meta.num_partitions)])
     meta.extra["vdata_cols"] = cols
     meta.save()
+
+
+def _commit_vdata(pdir: str, *pieces) -> None:
+    """``sinks._write_one`` of the pieces with rows; no file if none has one."""
+    pieces = [t for t in pieces if t.num_rows]
+    if pieces:
+        _write_one(pdir, *pieces)
 
 
 def attach_oids(result, meta: GraphMeta, gid_col: str = "gid", oid_name: str = "oid"):

@@ -28,6 +28,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..ids import part_of
 from .build import GraphMeta, link_tree, publish_graph_dir, save_csr
@@ -79,7 +80,11 @@ def mutate_graph(meta: GraphMeta, delta: pa.Table, out_dir: str) -> GraphMeta:
 
     ``delta`` columns: op (a|d|u), src, dst, optional w (oid space).
     Undirected (symmetrized) graphs apply each op in both directions.
+    Any other op raises ``ValueError`` rather than pass for an upsert.
     """
+    bad = sorted(set(map(str, pc.unique(delta.column("op")).to_pylist())) - {"a", "d", "u"})
+    if bad:
+        raise ValueError(f"delta op {bad[0]!r} is not one of a, d, u")
     return publish_graph_dir(out_dir, lambda work: _apply_delta(meta, delta, work))
 
 

@@ -70,8 +70,11 @@ def part_of(gids: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return (np.searchsorted(starts[1:], gids, side="right")).astype(np.int32)
 
 
-def split_by_part(table: pa.Table, parts: np.ndarray):
-    """Yield ``(p, rows with parts == p)`` for each p present, ascending:
-    the one owner split of the edge spool, vdata spool and result sink."""
+def split_by_part(table: pa.Table, parts: np.ndarray, num_parts: int) -> list[pa.Table]:
+    """``table``'s rows as ``num_parts`` tables, table p holding the rows
+    with ``parts == p`` in order, or none (of ``table``'s schema): the
+    one owner split of the build's route and the result sink."""
+    pieces = [table.schema.empty_table()] * num_parts
     for p in np.unique(parts):
-        yield int(p), table.filter(pa.array(parts == p))
+        pieces[int(p)] = table.filter(pa.array(parts == p))
+    return pieces

@@ -68,13 +68,11 @@ def _write_one(pdir: str, *pieces) -> int:
 
 def _split_block(t: pa.Table, num_partitions: int):
     """One block's rows as ``num_partitions`` tables (empty where no row
-    hashes there); the bucket is the pandas hash of the first column."""
-    pieces = [t.schema.empty_table()] * num_partitions
-    if t.num_rows:  # a block emptied by a filter may have no columns
-        first = t.column(0).to_pandas()
-        buckets = pd.util.hash_pandas_object(first, index=False).to_numpy() % num_partitions
-        for p, sub in split_by_part(t, buckets):
-            pieces[p] = sub
+    hashes there); the bucket is the pandas hash of the first column.
+    A block emptied by a filter may have no columns."""
+    buckets = (pd.util.hash_pandas_object(t.column(0).to_pandas(), index=False).to_numpy()
+               % num_partitions if t.num_rows else [])
+    pieces = split_by_part(t, buckets, num_partitions)
     return pieces if num_partitions > 1 else pieces[0]
 
 

@@ -97,9 +97,9 @@ def test_shattered_input_builds_the_same_graph(ray_session, tmp_work):
     assert _vertices(one).equals(_vertices(many))
     assert np.array_equal(one.starts, many.starts)
     assert _csr_files(one) == _csr_files(many)
-    # groups of up to 4M rows: at most one spool file per group and partition
-    max_files = math.ceil(t.num_rows / 4_000_000)
-    assert many.extra["build"]["spool_files"] <= P * max_files
+    # groups of up to 4M rows: at most one non-empty piece per group and partition
+    max_groups = math.ceil(t.num_rows / 4_000_000)
+    assert many.extra["build"]["route_pieces"] <= P * max_groups
 
 
 def test_csr_bytes_reproducible(ray_session, tmp_work):
@@ -122,10 +122,10 @@ def test_build_record(ray_session, tmp_work):
     meta = build_graph(_blocks(_edge_table(), 4), os.path.join(tmp_work, "g"), P)
     rec = GraphMeta.load(meta.work_dir).extra["build"]
     assert set(rec) == {"partials_s", "dictionary_s", "route_s", "csr_s", "rows_in",
-                        "rows_routed", "spool_files"}
+                        "rows_routed", "route_pieces"}
     assert rec["rows_routed"] == meta.num_edges
     assert rec["rows_in"] == 6000
-    # one route group: one spool file per partition it routed rows to
-    assert rec["spool_files"] == sum(csr_num_edges(csr_dir(meta.work_dir, p)) > 0
+    # one route group: one piece per partition it routed rows to
+    assert rec["route_pieces"] == sum(csr_num_edges(csr_dir(meta.work_dir, p)) > 0
                                      for p in range(P))
     assert all(rec[k] >= 0 for k in ("partials_s", "dictionary_s", "route_s", "csr_s"))

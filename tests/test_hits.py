@@ -3,11 +3,8 @@ ranking, structure sanity on a known hub/authority topology, and
 checkpoint/resume through the per-round Communicator channel (the
 in-flight global norm must survive a mid-run restore)."""
 
-import os
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 
@@ -118,12 +115,9 @@ def test_hits_output_warns_before_finalize(tmp_work):
     from libgrape_lite_ray.graph.fragment import Fragment
     from libgrape_lite_ray.graph.programs.hits import HITS
 
-    d = os.path.join(tmp_work, "edges", "part=0")
-    os.makedirs(d)
-    pq.write_table(pa.table({"src_gid": pa.array([1, 2, 3], pa.int64()),
-                             "dst_gid": pa.array([0, 0, 0], pa.int64())}),
-                   os.path.join(d, "e.parquet"))
-    write_csr(tmp_work, 0, np.array([0, 4]), False)
+    write_csr(tmp_work, 0, np.array([0, 4]), False,
+              pa.table({"src_gid": pa.array([1, 2, 3], pa.int64()),
+                        "dst_gid": pa.array([0, 0, 0], pa.int64())}))
     prog = HITS(Fragment(0, tmp_work, np.array([0, 4])), rounds=2)
     prog.init()
     with pytest.warns(RuntimeWarning, match="finalize"):

@@ -1,15 +1,14 @@
-"""The edge spool is route-only: spool files reach a fragment in no
-particular order (uuid-named, one per routed batch), so the build's
-CSR writer must sort each slice by (src, dst) and dedup it.  Regression cover
-for the round-1 spool-ordering bug (VERDICT.md #1), where a
-sorted-spool fast path trusted file order and mis-built the CSR.
+"""The build's route is route-only: a partition's routed pieces reach
+its CSR task in group order, not in key order, so the build's CSR
+writer must sort each partition's rows by (src, dst) and dedup them.
+Regression cover for the round-1 spool-ordering bug (VERDICT.md #1),
+where a sorted-spool fast path trusted file order and mis-built the CSR.
 """
 
 import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
 from libgrape_lite_ray import fixtures
@@ -17,31 +16,22 @@ from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy, write_c
 from libgrape_lite_ray.graph.fragment import Fragment
 
 
-def _write(d, name, rows):
+def _piece(rows):
     src, dst = zip(*rows)
-    pq.write_table(
-        pa.table({"src_gid": pa.array(src, pa.int64()),
-                  "dst_gid": pa.array(dst, pa.int64())}),
-        os.path.join(d, name),
-    )
+    return pa.table({"src_gid": pa.array(src, pa.int64()),
+                     "dst_gid": pa.array(dst, pa.int64())})
 
 
-@pytest.mark.parametrize("files,v,want,num_edges", [
-    # 'aaaa' sorts before 'zzzz' but holds the LATER half of vertex 5's
-    # run; (5,8) appears in both files
-    ({"aaaa.parquet": [(5, 8), (5, 9)],
-      "zzzz.parquet": [(5, 1), (5, 2), (5, 8)]}, 5, [1, 2, 8, 9], 4),
-    # in-order files still dedup (3,4) across the file boundary
-    ({"aaaa.parquet": [(3, 1), (3, 4)],
-      "bbbb.parquet": [(3, 4), (3, 7), (5, 2)]}, 3, [1, 4, 7], 4),
+@pytest.mark.parametrize("pieces,v,want,num_edges", [
+    # the first piece holds the LATER half of vertex 5's run; (5,8)
+    # appears in both pieces
+    ([[(5, 8), (5, 9)], [(5, 1), (5, 2), (5, 8)]], 5, [1, 2, 8, 9], 4),
+    # in-order pieces still dedup (3,4) across the piece boundary
+    ([[(3, 1), (3, 4)], [(3, 4), (3, 7), (5, 2)]], 3, [1, 4, 7], 4),
 ], ids=["out_of_order", "in_order_across_files"])
-def test_fragment_sorts_and_dedups_spool(tmp_work, files, v, want, num_edges):
-    d = os.path.join(tmp_work, "edges", "part=0")
-    os.makedirs(d)
-    for name, rows in files.items():
-        _write(d, name, rows)
+def test_fragment_sorts_and_dedups_spool(tmp_work, pieces, v, want, num_edges):
     starts = np.array([0, 10])
-    write_csr(tmp_work, 0, starts, False)
+    assert write_csr(tmp_work, 0, starts, False, *map(_piece, pieces)) == (5, 2)
     frag = Fragment(0, tmp_work, starts)
     lo, hi = frag.indptr[v], frag.indptr[v + 1]
     assert np.array_equal(frag.indices[lo:hi], want)
