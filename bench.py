@@ -133,6 +133,11 @@ def run_bench() -> dict:
             pages = rd.read_parquet(pdir, columns=["url", "html"])
             edges_ds = extract_edges(pages)  # stateless task parallelism
             tm["extract"] = time.perf_counter() - t0
+            # the read fuses with the extractor only if Ray does not split
+            # it, as it does for fewer files than 2x the cluster's CPUs or
+            # files over its target block size: record which plan ran
+            tm["extract_plan"] = next(ln for ln in edges_ds.stats().splitlines()
+                                      if ln.startswith("Operator"))
             _mark("extract")
 
             t0 = time.perf_counter()

@@ -5,7 +5,7 @@ Replaces the reference's TSV line parsers
 web-native equivalent demanded by BASELINE.json `input_hint`: the edge
 table is *derived* from the `html` binary column of a pages table
 ``(url, warc_ts, html, text, lang)`` by a `map_batches` stage over
-zero-copy Arrow batches.
+Arrow batches.
 
 Extraction spec (the per-row invariant enforced in pytest: extracted
 text must be byte-identical to the `text` column per `url`):
@@ -21,10 +21,12 @@ text must be byte-identical to the `text` column per `url`):
 
 The per-batch functions are vectorizable only per-row (HTML is not a
 columnar format); the html column is materialized as Python strings for
-the regex pass (unavoidable for regex-over-bytes — the batch arrives
-zero-copy from plasma, the decode copy happens here) and uses regexes
-compiled once per process at import.  ``pipelines.web.extract_edges``
-runs ``extract_edges_batch`` as a stateless task-pool ``map_batches``.
+the regex pass (unavoidable for regex-over-bytes — the decode copy
+happens here) and uses regexes compiled once per process at import.
+``pipelines.web.extract_edges`` runs ``extract_edges_batch`` as a
+stateless task-pool ``map_batches`` fused into the Parquet read when
+Ray does not split it: the batch then comes from the read in the same
+task, never through plasma.
 """
 
 from __future__ import annotations

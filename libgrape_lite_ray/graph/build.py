@@ -116,6 +116,14 @@ class GraphMeta:
                              f"rows for the {hi - lo + 1} gids {lo}..{hi}")
         return t.sort_by("gid").column("oid").combine_chunks()
 
+    @property
+    def vdata_columns(self):
+        """What fragments load as vdata: ``{column: Arrow type name}``,
+        or the bare names for a graph dir built before the types were
+        recorded (the loader then reads each partition's file types),
+        or None without vdata."""
+        return self.extra.get("vdata_types") or self.extra.get("vdata_cols")
+
     def _in_universe(self, ids, what: str) -> np.ndarray:
         g = np.asarray(ids, dtype=np.int64)
         if len(g) and (g.min() < 0 or g.max() >= self.num_vertices):
@@ -640,8 +648,8 @@ def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
     if meta.extra.get("identity_oids"):
         return _block_groups(ds)[0], None, cols
     if V <= _BROADCAST_VERTICES:
-        if dict_ref is None:
-            dict_ref = ray.put(meta._oid_range(0, V - 1))
+        if dict_ref is None:  # a task reads it: no V-sized array in the driver
+            dict_ref = ray.remote(_dictionary_oids).remote(meta)
         return _block_groups(ds)[0], dict_ref, cols
     rest = [c for c in ds.schema().names if c not in cols]
     v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
@@ -649,6 +657,11 @@ def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
         ds = ds.join(v.rename_columns({"oid": c, "gid": g}), join_type="inner",
                      on=(c,), num_partitions=meta.num_partitions)
     return _block_groups(ds.select_columns(list(cols.values()) + rest))[0], None, None
+
+
+def _dictionary_oids(meta: GraphMeta) -> pa.Array:
+    """Every oid in gid order, read from ``vertices/``."""
+    return meta._oid_range(0, meta.num_vertices - 1)
 
 
 def _route_group(starts: np.ndarray, direction: str, oids, cols, *items):
@@ -758,17 +771,25 @@ def _write_vdata(vdata_ds, meta: GraphMeta):
     groups, oids, key = _to_gids(vdata_ds, meta, {"oid": "gid"})
     pieces = _route(groups, meta.starts, "out", oids, key)
     commit = ray.remote(_commit_vdata)
-    ray.get([commit.remote(os.path.join(meta.work_dir, "vdata", f"part={p}"), *pieces[p])
-             for p in range(meta.num_partitions)])
+    written = ray.get([commit.remote(os.path.join(meta.work_dir, "vdata", f"part={p}"),
+                                     *pieces[p]) for p in range(meta.num_partitions)])
     meta.extra["vdata_cols"] = cols
+    # the written Arrow types, for the partitions that got no row (and
+    # so no file); with no row anywhere every column loads as zeros
+    types = next(filter(None, written), None)
+    if types:
+        meta.extra["vdata_types"] = {c: types[c] for c in cols}
     meta.save()
 
 
-def _commit_vdata(pdir: str, *pieces) -> None:
-    """``sinks._write_one`` of the pieces with rows; no file if none has one."""
+def _commit_vdata(pdir: str, *pieces) -> dict | None:
+    """``sinks._write_one`` of the pieces with rows, and the written
+    ``{column: Arrow type name}``; no file and None if none has one."""
     pieces = [t for t in pieces if t.num_rows]
-    if pieces:
-        _write_one(pdir, *pieces)
+    if not pieces:
+        return None
+    _write_one(pdir, *pieces)
+    return {f.name: str(f.type) for f in pieces[0].schema}
 
 
 def attach_oids(result, meta: GraphMeta, gid_col: str = "gid", oid_name: str = "oid"):

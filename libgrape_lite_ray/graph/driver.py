@@ -584,7 +584,7 @@ class GraphEngine:
         for h, g in enumerate(groups):
             host_of[g] = h
         self.host_of = host_of
-        vdata_cols = meta.extra.get("vdata_cols")
+        vdata_cols = meta.vdata_columns
         if (reuse_engine is not None and len(reuse_engine.actors) == H
                 and reuse_engine.groups == groups):
             # adopt the warm pool (ownership transfers; the donor engine

@@ -219,7 +219,7 @@ def load_arrays(path: str, mmap: bool = False) -> tuple[dict, dict | None]:
 
 class Fragment:
     def __init__(self, part_id: int, work_dir: str, starts: np.ndarray,
-                 vdata_cols: list[str] | None = None):
+                 vdata_cols: dict | list[str] | None = None):
         self.part = int(part_id)
         self.starts = np.asarray(starts, dtype=np.int64)
         self.num_parts = len(self.starts) - 1
@@ -283,9 +283,14 @@ class Fragment:
             # dtype-aware (reference VDATA_T is any POD incl. strings,
             # grape/types.h:30-39): string columns load as object
             # arrays with "" for absent vertices; everything numeric
-            # stays the float64 dense path
-            is_str = (vt is not None
-                      and pa.types.is_string(vt.schema.field(c).type))
+            # stays the float64 dense path.  The graph meta's type
+            # holds in every partition; a dir built before it recorded
+            # types falls back to this partition's file
+            if isinstance(vdata_cols, dict):
+                is_str = vdata_cols[c] in ("string", "large_string")
+            else:
+                is_str = (vt is not None
+                          and pa.types.is_string(vt.schema.field(c).type))
             if is_str:
                 dense = np.full(self.ivnum, "", dtype=object)
                 if len(vg):

@@ -2,11 +2,11 @@
 build -> analytics (the north_star shape: Common-Crawl-style corpus to
 hyperlink-graph scores).
 
-Extraction never carries the `html` column past the extractor stage
-(project-early; html can be MBs/row) and runs as a task-pool
-map_batches over zero-copy Arrow batches.  ``extract_edges`` is the
-shared first stage: extract ONCE, then derive both the directed and the
-symmetrized graph from the same edge table.
+Extraction is fused into the Parquet read: one Ray Data task per file
+reads its pages and runs the extractor on them, so the `html` column
+(MBs/row) never reaches the object store; only the edge table does.
+``extract_edges`` is the shared first stage: extract ONCE, then derive
+both the directed and the symmetrized graph from the same edge table.
 """
 
 from __future__ import annotations
@@ -19,28 +19,28 @@ from ..graph.driver import GraphEngine
 
 __all__ = ["extract_edges", "pages_to_graph", "run_web_analytics"]
 
-# pages per extract batch, so per edge block; the build groups blocks
-# up to 4M rows per task, so the block count no longer costs it a pass
-EXTRACT_BATCH_PAGES = 4096
 
+def extract_edges(pages_ds):
+    """pages -> the pinned (src, dst) url edge Dataset, so graph builds
+    reuse it without re-running extraction.  Ray Data fuses the read
+    with this map only if it does not split the read's blocks, a split
+    it sizes at plan time from the global ``DataContext`` (not
+    ``pages_ds.context``).  Under a block floor of 1 only its memory and
+    2x-CPUs rules split the read, so each file is read and extracted in
+    one task; a caller's filter, limit or map stays in the plan."""
+    from ray.data import DataContext
 
-def extract_edges(pages_ds, materialize: bool = True):
-    """pages -> (src, dst) url edge Dataset.  ``materialize=True`` pins
-    the (small relative to html) edge table so multiple graph builds
-    reuse it without re-running extraction; at full corpus scale write
-    it to Parquet instead and read it back.
-
-    Extraction is stateless, so it runs as elastic TASKS (scales with
-    available CPUs; actor pools ramp lazily and under-use big nodes).
-    """
-    edges = pages_ds.map_batches(extract_edges_batch, batch_format="pyarrow",
-                                 batch_size=EXTRACT_BATCH_PAGES)
-    return edges.materialize() if materialize else edges
+    ctx = DataContext.get_current()
+    floor, ctx.read_op_min_num_blocks = ctx.read_op_min_num_blocks, 1
+    try:
+        return pages_ds.map_batches(extract_edges_batch, batch_format="pyarrow").materialize()
+    finally:
+        ctx.read_op_min_num_blocks = floor
 
 
 def pages_to_graph(pages_ds, work_dir: str, num_partitions: int,
                    symmetrize: bool = False, fingerprint: str = "") -> GraphMeta:
-    edges = extract_edges(pages_ds, materialize=False)
+    edges = extract_edges(pages_ds)
     return build_graph(
         edges, work_dir, num_partitions,
         directed=not symmetrize, symmetrize=symmetrize,

@@ -71,7 +71,7 @@ def main(argv=None) -> dict:
             from .pipelines.web import extract_edges
 
             pages = rd.read_parquet(args.corpus, columns=["url", "html"])
-            edges_ds = extract_edges(pages, materialize=False)
+            edges_ds = extract_edges(pages)
         else:
             cols = ["src", "dst"] + ([args.weight_col] if args.weight_col else [])
             edges_ds = rd.read_parquet(args.edges, columns=cols)

@@ -1,9 +1,11 @@
 """The build routes every row to its owner partition: the cases where a
 route task or a partition gets no row build what the rest of the input
 alone would.  A vertex-data input with no row, or with no row naming a
-vertex, loads every vertex's value as 0; a weighted partition without
-edges still holds its weight arrays; an empty input block changes no
-CSR byte.  A delta op other than ``a``, ``d`` or ``u`` is refused."""
+vertex, loads every vertex's value as 0; a string column loads as
+strings in a partition that got none of its rows; a weighted partition
+without edges still holds its weight arrays; an empty input block
+changes no CSR byte.  A delta op other than ``a``, ``d`` or ``u`` is
+refused."""
 
 import os
 
@@ -11,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
+from libgrape_lite_ray.graph.build import GraphMeta, build_graph, edges_from_numpy
 from libgrape_lite_ray.graph.fragment import Fragment
 
 P = 4
@@ -52,6 +54,48 @@ def test_vdata_without_matching_rows_loads_zeros(ray_session, tmp_work, oids, de
         f = Fragment(p, meta.work_dir, meta.starts, meta.extra["vdata_cols"])
         assert f.vdata["val"].dtype == np.float64
         assert len(f.vdata["val"]) == f.ivnum and not f.vdata["val"].any()
+
+
+def _tagged_ring(tmp_work, name):
+    """A 40-vertex string-oid ring whose vertex data tags its first two
+    vertices, which partition 0 owns."""
+    import ray.data as rd
+
+    ids = np.arange(40)
+    vds = rd.from_arrow(pa.table({"oid": _names([0, 1]), "tag": ["a", "b"]}))
+    return build_graph(edges_from_numpy(_names(ids), _names((ids + 1) % 40)),
+                       os.path.join(tmp_work, name), P, vdata_ds=vds)
+
+
+def test_string_vdata_loads_as_strings_in_every_partition(ray_session, tmp_work):
+    meta = _tagged_ring(tmp_work, "g")
+    # only partition 0 got a row, so only it has a file to read types from
+    assert sorted(os.listdir(os.path.join(meta.work_dir, "vdata"))) == ["part=0"]
+    assert meta.vdata_columns == {"tag": "string"}
+    tags = []
+    for p in range(meta.num_partitions):
+        f = Fragment(p, meta.work_dir, meta.starts, meta.vdata_columns)
+        assert f.vdata["tag"].dtype == object
+        assert f.vdata_full["tag"].dtype == object
+        tags += f.vdata["tag"].tolist()
+    assert tags == ["a", "b"] + [""] * 38
+
+
+def test_vdata_translate_reads_no_dictionary_in_the_driver(ray_session, tmp_work,
+                                                           monkeypatch):
+    """The translate's sorted oids come from a task: a patch of the
+    driver's dictionary read, which the workers never see, goes unused."""
+    real = GraphMeta._oid_range
+
+    def no_full_read(self, lo, hi):
+        if hi - lo + 1 >= self.num_vertices:
+            raise AssertionError("the driver read the whole vertex dictionary")
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(GraphMeta, "_oid_range", no_full_read)
+    meta = _tagged_ring(tmp_work, "g")
+    f = Fragment(0, meta.work_dir, meta.starts, meta.vdata_columns)
+    assert f.vdata["tag"][:2].tolist() == ["a", "b"]
 
 
 def test_weighted_empty_partition_keeps_weight_arrays(ray_session, tmp_work):
