@@ -3,19 +3,20 @@ per-partition CSRs, in place of the reference's MPI load pipeline
 (grape/fragment/ev_fragment_loader.h:71-186, basic_fragment_loader.h):
 
   1. one task per group of edge blocks emits pre-deduped (oid, degree)
-     endpoint partials; their row count bounds V,
-  2. within ``_BROADCAST_VERTICES``, ONE task merges them into the
-     vertex dictionary (gid = rank in oid order, see ids.py) and writes
-     it, as the reference gathers its vertex map in one step
-     (basic_fragment_loader.h:221-236); above it, one global Ray Data
-     sort of the partials, numbered block by block,
+     endpoint partials; their row count N bounds V,
+  2. the vertex dictionary (gid = rank in oid order, see ids.py) in
+     R = ceil(N / ``_ROUTE_ROWS``) oid ranges, local_vertex_map.h's
+     partitioned vertex map: one task per range sorts and writes it,
+     numbered from the prefix sum of the range counts; with R > 1 the
+     partials first hop to their ranges (``_range_dictionary``),
   3. degree-aware contiguous partition starts (rebalancer.h analog)
      from ONE gid-bucket histogram of ``deg + 1`` weight on every path
      (``_gid_histogram`` -> ``_histogram_starts``): the exact
      per-vertex split up to 2**20 vertices, bucket ends above,
   4. ONE oid->gid translate (``_translate``, also for vertex data):
-     ``pc.index_in`` against the broadcast sorted oids, or one
-     Dataset.join per oid column above the threshold,
+     ``pc.index_in`` against a range's sorted oids, by object ref, in
+     the route tasks; with R > 1 each oid column first hops to its
+     range's task (``_to_gids``),
   5. a ROUTE-ONLY owner split (basic_fragment_loader.h:155-172): a
      route task returns partition p's rows as its p-th object, as the
      result sink splits its blocks; no sort, nothing written to disk,
@@ -27,8 +28,8 @@ per-partition CSRs, in place of the reference's MPI load pipeline
 
 Every step runs as plain 1-CPU Ray tasks over block refs (groups of at
 most ``_ROUTE_ROWS`` rows), like ``sinks.write_dataset_partitioned``:
-the calling process only routes refs, and a build within the threshold
-starts no Ray Data execution.  A route task concatenates its group in
+the calling process only routes refs and holds nothing V-sized, and no
+build starts a Ray Data execution.  A route task concatenates its group in
 block order, and a CSR task its pieces in group order, so a partition's
 rows depend only on the input blocks.  Everything lands in the build's
 tmp dir, which ``publish_graph_dir`` renames into place.
@@ -44,7 +45,9 @@ dictionary and starts.  Dense int64 oids (``dense_int_oids=True``)
 skip 1, 2 and 4.
 
 ``meta.extra["build"]`` records the seconds of the partials, dictionary,
-route and CSR passes, rows in, rows routed and non-empty pieces routed.
+route and CSR passes, rows in, rows routed, non-empty pieces routed and
+the dictionary ranges R (0 when no dictionary is built).  A null oid
+raises ``ValueError`` on every path.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..ids import part_of, split_by_part, weighted_partition_starts
+from ..ids import split_by_part, weighted_partition_starts
 from ..sinks import _write_one
 from .fragment import csr_arrays, csr_dir, csr_edges, csr_num_edges, load_arrays, save_arrays
 
@@ -179,19 +182,20 @@ def edges_from_numpy(src: np.ndarray, dst: np.ndarray, w: np.ndarray | None = No
     return rd.from_arrow(pa.table(cols))
 
 
-# rows per translate+route task: groups of 4M rows bound the routed
-# pieces to O(E/4M x P), where per-block routing made O(blocks x P)
+# rows per build task (a route group, a dictionary range): groups of 4M
+# rows bound the routed pieces to O(E/4M x P), where per-block routing
+# made O(blocks x P).  Read at call time, so a test can patch it
 _ROUTE_ROWS = 4_000_000
 _EDGE_GIDS = {"src": "src_gid", "dst": "dst_gid"}
 
 
-def _group(items: list, rows: list, max_rows: int = _ROUTE_ROWS):
+def _group(items: list, rows: list):
     """``items`` in order, cut into contiguous groups of at most
-    ``max_rows`` rows (a larger item is a group of its own), and the
+    ``_ROUTE_ROWS`` rows (a larger item is a group of its own), and the
     total row count."""
     groups, n = [], 0
     for item, r in zip(items, rows):
-        if not groups or n + r > max_rows:
+        if not groups or n + r > _ROUTE_ROWS:
             groups.append([])
             n = 0
         groups[-1].append(item)
@@ -199,14 +203,14 @@ def _group(items: list, rows: list, max_rows: int = _ROUTE_ROWS):
     return groups, int(sum(rows))
 
 
-def _block_groups(ds, max_rows: int = _ROUTE_ROWS):
+def _block_groups(ds):
     """``_group`` of a Dataset's block refs by their metadata row
     counts.  ``materialize`` runs no executor on a Dataset that is
     already pinned (or built from in-memory blocks), so its refs cost
     no Ray Data execution."""
     blocks = [b for bundle in ds.materialize().iter_internal_ref_bundles()
               for b in bundle.blocks]
-    return _group([ref for ref, _ in blocks], [md.num_rows or 0 for _, md in blocks], max_rows)
+    return _group([ref for ref, _ in blocks], [md.num_rows or 0 for _, md in blocks])
 
 
 def _concat(items) -> pa.Table:
@@ -239,10 +243,18 @@ def _endpoint_partial(cols, copies: int, *blocks):
     t = _concat(blocks)
     if not t.num_rows:
         return t, 0
+    _check_oids(t, cols)
     uniq = [pc.value_counts(t.column(c)) for c in cols]
     cnt = [u.field("counts").to_numpy(zero_copy_only=False).astype(np.int64) for u in uniq]
     oid = pa.concat_arrays([u.field("values") for u in uniq])
     return pa.table({"oid": oid, "cnt": np.concatenate(cnt) * copies}), len(oid)
+
+
+def _check_oids(t: pa.Table, cols) -> None:
+    """Refuse a null oid: it names no vertex, and no oid range holds it."""
+    for c in cols:
+        if t.column(c).null_count:
+            raise ValueError(f"null oid in column {c!r}")
 
 
 def publish_graph_dir(final_dir: str, build) -> GraphMeta:
@@ -322,13 +334,9 @@ def build_graph(
     def build(tmp_dir: str) -> GraphMeta:
         if reuse_vertices_from is not None:
             meta = _reroute(reuse_vertices_from, tmp_dir, "both", fingerprint)
-        elif dense_int_oids:
-            meta = _build_dense_int(edges_ds, tmp_dir, num_partitions, directed,
-                                    symmetrize, weight_col, fingerprint)
         else:
-            meta = _build_with_dictionary(
-                edges_ds, tmp_dir, num_partitions, directed, symmetrize,
-                weight_col, fingerprint, vertices_ds)
+            meta = _build_from_edges(edges_ds, tmp_dir, num_partitions, directed, symmetrize,
+                                     weight_col, fingerprint, vertices_ds, dense_int_oids)
         if vdata_ds is not None:
             _write_vdata(vdata_ds, meta)
         return meta
@@ -336,78 +344,57 @@ def build_graph(
     return publish_graph_dir(work_dir, build)
 
 
-def _build_with_dictionary(edges_ds, work_dir, num_partitions, directed,
-                           symmetrize, weight_col, fingerprint,
-                           vertices_ds) -> GraphMeta:
-    """String (or sparse int) oids: endpoint partials -> vertex
-    dictionary + starts -> translate -> route (steps 1-5 above)."""
+def _build_from_edges(edges_ds, work_dir, num_partitions, directed, symmetrize,
+                      weight_col, fingerprint, vertices_ds, dense: bool) -> GraphMeta:
+    """Endpoint partials -> vertex dictionary + starts -> translate ->
+    route (steps 1-5 above).  Dense int64 oids (0..V-1, ``dense``) are
+    their own gids: one task wave finds the oid range and one the
+    histogram starts, and the route keeps the oids in [0, V)."""
     import ray
-    import ray.data as rd
 
     edges_ds = _prepare_edges(edges_ds, weight_col)
     sch = edges_ds.schema()
     src_type = getattr(sch, "base_schema", sch).field("src").type
     oid_type = "string" if src_type in (pa.string(), pa.large_string()) else "int64"
     groups, rows_in = _block_groups(edges_ds)
-    t0 = time.perf_counter()
-
-    # ---- 1. one task per block group emits pre-deduped (oid, cnt)
-    # endpoint partials; their row count bounds V, so it picks the
-    # dictionary path.  An explicit universe (vfile) adds zero-weight
-    # rows, so isolated vertices get gids too
-    partial = ray.remote(num_returns=2)(_endpoint_partial)
-    parts = [partial.remote(("src", "dst"), 2 if symmetrize else 1, *g) for g in groups]
-    if vertices_ds is not None:
-        parts += [partial.remote(("oid",), 0, *g) for g in _block_groups(vertices_ds)[0]]
-    tables, counts = [p[0] for p in parts], ray.get([p[1] for p in parts])
-    n_partials = sum(counts)
-    if n_partials == 0:
-        raise ValueError("empty edge input")
-    t1 = time.perf_counter()
-    dict_ref = None
-    if n_partials <= _BROADCAST_VERTICES:
-        # ---- 2-3. small dictionary: ONE task merges the partials,
-        # writes vertices/ and computes the starts; the driver keeps
-        # only the dictionary's ref for the broadcast translate
-        info_ref, dict_ref = ray.remote(num_returns=2)(_merge_dictionary).remote(
-            os.path.join(work_dir, "vertices"), num_partitions, _HIST_BUCKETS, *tables)
-        num_vertices, num_partitions, starts = ray.get(info_ref)
+    copies, t0 = 2 if symmetrize else 1, time.perf_counter()
+    if dense:
+        spans = [s for s in ray.get([ray.remote(_oid_span).remote(*g) for g in groups]) if s]
+        if not spans:
+            raise ValueError("empty edge input")
+        if min(lo for lo, _ in spans) < 0:
+            raise ValueError("dense_int_oids needs non-negative oids")
+        V = max(hi for _, hi in spans) + 1
+        P = min(num_partitions, max(1, V))
+        t1 = time.perf_counter()
+        starts, dictionary, R = _dataset_starts(edges_ds, V, P, copies), ([], [(0, V)]), 0
     else:
-        # ---- 2-3. large dictionary: ONE global sort of the partials
-        # (a groupby + sort would be two all-to-all exchanges over the
-        # vertex table), then one task per sorted block sums its runs and
-        # the blocks are numbered in sort order here.  The sort
-        # range-partitions, so an oid lives in one block
-        vds = rd.from_arrow_refs([t for t, n in zip(tables, counts) if n]).sort("oid")
-        runs = ray.remote(num_returns=2)(_sorted_runs)
-        # max_rows=1: each sorted block is a group of its own
-        blocks = [runs.remote(*g) for g in _block_groups(vds, 1)[0]]
-        plan, V, last = [], 0, None
-        for i, info in enumerate(ray.get([b[1] for b in blocks])):
-            if info:
-                if last is not None and info[0] <= last:
-                    raise RuntimeError("an oid spans two sorted vertex blocks")
-                plan.append((i, V))
-                V, last = V + info[2], info[1]
-        num_vertices, num_partitions = V, min(num_partitions, max(1, V))
-        B = min(V, _HIST_BUCKETS)
-        number = ray.remote(_number_runs)
-        hist = np.zeros(B, np.float64)
-        vdir = os.path.join(work_dir, "vertices")
-        for ref in [number.remote(vdir, i, off, V, B, blocks[i][0]) for i, off in plan]:
-            hist += ray.get(ref)
-        starts = _histogram_starts(hist, V, num_partitions)
-
-    del parts, tables  # consumed: free the partials from plasma
-    # ---- 4. translate edges to gid space (in the route tasks, or one
-    # join per oid column above the threshold), 5. route
-    meta = GraphMeta(work_dir, int(num_vertices), 0, int(num_partitions),
-                     np.asarray(starts, np.int64), directed, oid_type,
-                     bool(weight_col), fingerprint)
+        # ---- 1. one task per block group emits pre-deduped (oid, cnt)
+        # endpoint partials; their row count N bounds V, so it picks the
+        # number of dictionary ranges.  An explicit universe (vfile) adds
+        # zero-weight rows, so isolated vertices get gids too
+        partial = ray.remote(num_returns=2)(_endpoint_partial)
+        parts = [partial.remote(("src", "dst"), copies, *g) for g in groups]
+        if vertices_ds is not None:
+            parts += [partial.remote(("oid",), 0, *g) for g in _block_groups(vertices_ds)[0]]
+        tables, counts = [p[0] for p in parts], ray.get([p[1] for p in parts])
+        if sum(counts) == 0:
+            raise ValueError("empty edge input")
+        t1 = time.perf_counter()
+        # ---- 2-3. the dictionary in R oid ranges, and the starts
+        R = -(-sum(counts) // _ROUTE_ROWS)
+        V, P, starts, dictionary = _range_dictionary(
+            os.path.join(work_dir, "vertices"), num_partitions, R,
+            [t for t, n in zip(tables, counts) if n])
+        del parts, tables  # consumed: free the partials from plasma
+    # ---- 4. translate edges to gid space (in the route tasks, after a
+    # hop per oid column when R > 1), 5. route
+    meta = GraphMeta(work_dir, V, 0, P, np.asarray(starts, np.int64), directed, oid_type,
+                     bool(weight_col), fingerprint, extra={"identity_oids": True} if dense else {})
     return _route_and_finish(meta, "both" if symmetrize else "out",
-                             *_to_gids(edges_ds, meta, _EDGE_GIDS, dict_ref),
+                             *_to_gids(groups, dictionary, _EDGE_GIDS),
                              partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
-                             rows_in=rows_in)
+                             rows_in=rows_in, dict_ranges=R)
 
 
 def _prepare_edges(edges_ds, weight_col):
@@ -428,50 +415,71 @@ def _prepare_edges(edges_ds, weight_col):
     return edges_ds
 
 
-def _merge_dictionary(vertices_dir: str, num_partitions: int, max_buckets: int,
-                      *partials: pa.Table):
-    """One task: (oid, cnt) partials -> vertex dictionary (gid = rank in
-    oid order, weight = total degree) written to ``vertices_dir``, and
-    its histogram starts over ``min(V, max_buckets)`` buckets.  Returns
-    ``((V, P, starts), sorted_oids)`` as two objects, so the caller
-    fetches only the scalars."""
-    runs, _ = _sorted_runs(*partials)
-    V = runs.num_rows
-    P = min(num_partitions, max(1, V))
-    hist = _number_runs(vertices_dir, 0, 0, V, min(V, max_buckets), runs)
-    return (V, P, _histogram_starts(hist, V, P)), runs.column("oid").combine_chunks()
+def _range_dictionary(vertices_dir: str, num_partitions: int, R: int, partials: list):
+    """``(V, P, starts, dictionary)`` (as ``_to_gids`` takes it) of ``R``
+    oid ranges cut at every R-th oid of each sorted partial: one task per
+    range sums its runs, then each non-empty range is numbered from the
+    prefix sum of the counts.  The driver holds R counts and first oids,
+    the B-bucket histogram and refs."""
+    import ray
+
+    if R > 1:
+        sample = ray.remote(_sample_oids)
+        splitters = ray.remote(_splitters).remote(R, *[sample.remote(R, t) for t in partials])
+        partials = _route([[t] for t in partials], ray.get(splitters), "oid")
+    runs = ray.remote(num_returns=2)(_sorted_runs)
+    ranges = [runs.remote(*p) for p in (partials if R > 1 else [partials])]
+    kept = [(t, info) for (t, _), info in zip(ranges, ray.get([i for _, i in ranges])) if info]
+    offs = np.cumsum([0] + [n for _, (_, n) in kept]).tolist()
+    V = offs.pop()
+    P, B = min(num_partitions, max(1, V)), min(V, _HIST_BUCKETS)
+    number = ray.remote(num_returns=2)(_number_runs)
+    numbered = [number.remote(vertices_dir, i, off, V, B, t)
+                for i, (off, (t, _)) in enumerate(zip(offs, kept))]
+    hist = np.zeros(B, np.float64)
+    for h, _ in numbered:
+        hist += ray.get(h)
+    return V, P, _histogram_starts(hist, V, P), (
+        [f for _, (f, _) in kept[1:]], [(off, d) for off, (_, d) in zip(offs, numbered)])
+
+
+def _sample_oids(step: int, partial: pa.Table) -> pa.Array:
+    """Every ``step``-th oid of a partial in sort order, its last included."""
+    oid = partial.column("oid")
+    pos = np.arange(len(oid) - 1, -1, -step)
+    return oid.take(pc.sort_indices(oid).take(pos)).combine_chunks()
+
+
+def _splitters(R: int, *samples) -> pa.Array:
+    """The oids that cut the sorted samples into ``R`` equal runs."""
+    s = pa.chunked_array(samples)
+    return s.take(pc.sort_indices(s)).take(np.arange(1, R) * len(s) // R).combine_chunks()
 
 
 def _sorted_runs(*blocks):
-    """The distinct oids of (oid, cnt) rows in oid order with their
-    summed ``cnt``, and ``(first oid, last oid, count)``, or None when
-    there is no row."""
+    """The distinct oids of (oid, cnt) rows in oid order with their summed
+    ``cnt``, and ``(first oid, count)``, or None when there is no row."""
     t = _concat(blocks)
     if not t.num_rows:
         return t, None
     t = t.group_by("oid").aggregate([("cnt", "sum")]).sort_by("oid")
-    oid = t.column("oid")
-    return t, (oid[0].as_py(), oid[-1].as_py(), t.num_rows)
+    return t, (t.column("oid")[0].as_py(), t.num_rows)
 
 
-def _number_runs(vertices_dir: str, i: int, off: int, V: int, B: int,
-                 runs: pa.Table) -> np.ndarray:
+def _number_runs(vertices_dir: str, i: int, off: int, V: int, B: int, runs: pa.Table):
     """Write ``_sorted_runs`` output as dictionary file ``i``: rows
     ``(oid, gid, weight)``, gids from ``off`` on.  Returns their gid
-    histogram over ``B`` buckets."""
+    histogram over ``B`` buckets and their sorted oids."""
     gid = np.arange(off, off + runs.num_rows, dtype=np.int64)
     vt = pa.table({"oid": runs.column("oid"), "gid": gid,
                    "weight": runs.column("cnt_sum").to_numpy().astype(np.float64)})
     os.makedirs(vertices_dir, exist_ok=True)
     pq.write_table(vt, os.path.join(vertices_dir, f"part-{i:06d}.parquet"),
                    row_group_size=_DICT_ROW_GROUP)
-    return _gid_histogram(["gid"], V, B, "weight", vt)
+    return _gid_histogram(["gid"], V, B, "weight", vt), runs.column("oid").combine_chunks()
 
 
 _HIST_BUCKETS = 1 << 20
-# at most this many vertices, oid->gid translates by a broadcast sorted
-# dictionary; above it, by hash joins against vertices/
-_BROADCAST_VERTICES = 4_000_000
 # vertices/ row-group size: a lookup skips the groups whose min/max
 # statistics exclude its keys and decodes the rest one at a time.  On a
 # 4M-URL dictionary, 16k-row groups made the file 120 MiB (102 MiB with
@@ -496,18 +504,17 @@ def _gid_histogram(cols, V: int, B: int, weight: str | None, *blocks) -> np.ndar
     return h
 
 
-def _dataset_starts(ds, V: int, P: int, cols=("src", "dst"), weight: str | None = None,
-                    copies: int = 1) -> np.ndarray:
-    """``_histogram_starts`` of the ``_gid_histogram`` of every block of
-    ``ds`` weighed ``copies`` times (routed copies per edge, as in
-    ``_endpoint_partial``): ONE task per block group, summed here in
+def _dataset_starts(ds, V: int, P: int, copies: int = 1) -> np.ndarray:
+    """``_histogram_starts`` of the ``_gid_histogram`` of every edge
+    block of ``ds`` weighed ``copies`` times (routed copies per edge, as
+    in ``_endpoint_partial``): ONE task per block group, summed here in
     O(B) memory, never O(V)."""
     import ray
 
     B = min(V, _HIST_BUCKETS)
     hist = ray.remote(_gid_histogram)
     total = np.zeros(B, np.float64)
-    for ref in [hist.remote(cols, V, B, weight, *g) for g in _block_groups(ds)[0]]:
+    for ref in [hist.remote(("src", "dst"), V, B, None, *g) for g in _block_groups(ds)[0]]:
         total += ray.get(ref)
     total *= copies
     return _histogram_starts(total, V, P)
@@ -531,41 +538,13 @@ def _histogram_starts(hist: np.ndarray, V: int, P: int) -> np.ndarray:
     return weighted_partition_starts(ends, hist, V, P)
 
 
-def _build_dense_int(edges_ds, work_dir, num_partitions, directed, symmetrize,
-                     weight_col, fingerprint) -> GraphMeta:
-    """Fast path when oids are already dense int64 ids (0..V-1): gid ==
-    oid, no dictionary build or translate — one task wave for the oid
-    range, one histogram wave for boundaries, then route to the owners.
-    The production path for pre-normalized inputs (the reference's
-    int-oid graphs with a dense id space)."""
-    import ray
-
-    edges_ds = _prepare_edges(edges_ds, weight_col)
-    groups, rows_in = _block_groups(edges_ds)
-    t0 = time.perf_counter()
-    spans = [s for s in ray.get([ray.remote(_oid_span).remote(*g) for g in groups]) if s]
-    if not spans:
-        raise ValueError("empty edge input")
-    if min(lo for lo, _ in spans) < 0:
-        raise ValueError("dense_int_oids needs non-negative oids")
-    V = max(hi for _, hi in spans) + 1
-    P = min(num_partitions, max(1, V))
-    t1 = time.perf_counter()
-    starts = _dataset_starts(edges_ds, V, P, copies=2 if symmetrize else 1)
-    meta = GraphMeta(work_dir, V, 0, P, starts, directed, "int64", bool(weight_col),
-                     fingerprint, extra={"identity_oids": True})
-    return _route_and_finish(meta, "both" if symmetrize else "out",
-                             *_to_gids(edges_ds, meta, _EDGE_GIDS),
-                             partials_s=t1 - t0, dictionary_s=time.perf_counter() - t1,
-                             rows_in=rows_in)
-
-
 def _oid_span(*blocks):
     """``(min, max)`` over the src and dst oids of one block group, or
     None when it holds no row."""
     t = _concat(blocks)
     if not t.num_rows:
         return None
+    _check_oids(t, ("src", "dst"))
     mm = [pc.min_max(t.column(c)) for c in ("src", "dst")]
     return min(m["min"].as_py() for m in mm), max(m["max"].as_py() for m in mm)
 
@@ -605,23 +584,24 @@ def _reroute(donor: GraphMeta, work_dir: str, direction: str, fingerprint: str,
     meta = GraphMeta(work_dir, donor.num_vertices, 0, donor.num_partitions, donor.starts,
                      donor.directed, donor.oid_type, donor.has_weights, fingerprint,
                      extra=extra)
-    return _route_and_finish(meta, direction, groups, partials_s=0.0,
+    return _route_and_finish(meta, direction, groups, partials_s=0.0, dict_ranges=0,
                              dictionary_s=time.perf_counter() - t0, rows_in=rows_in)
 
 
-def _translate(t: pa.Table, cols: dict, V: int, oids=None) -> pa.Table:
+def _translate(t: pa.Table, cols: dict, first_gid: int, oids) -> pa.Table:
     """The one oid->gid translate: each oid column ``c`` of ``cols``
     (``{c: gid column}``) becomes its gid column, by ``pc.index_in``
-    against the sorted ``oids`` (the position IS the gid) or, with
-    ``oids=None`` (dense ints), by keeping the oid in ``[0, V)``.  Gid
-    columns come first, then the rest; a row whose oid is not a vertex
-    is dropped."""
-    if oids is None:
-        gids = [t.column(c).cast(pa.int64()) for c in cols]
-        gids = [pc.if_else(pc.and_(pc.greater_equal(g, 0), pc.less(g, V)), g, None)
-                for g in gids]
+    against a dictionary range's sorted ``oids`` (the position plus
+    ``first_gid`` IS the gid) or, for dense ints (``oids`` the vertex
+    count V), by keeping the oid in ``[0, V)``.  Gid columns come first,
+    then the rest; a row whose oid is not a vertex is dropped."""
+    _check_oids(t, cols)
+    if isinstance(oids, int):
+        gids = [pc.if_else(pc.and_(pc.greater_equal(g, 0), pc.less(g, oids)), g, None)
+                for g in (t.column(c).cast(pa.int64()) for c in cols)]
     else:
-        gids = [pc.index_in(t.column(c), value_set=oids).cast(pa.int64()) for c in cols]
+        gids = [pc.add(pc.index_in(t.column(c), value_set=oids).cast(pa.int64()), first_gid)
+                for c in cols]
     rest = {c: t.column(c) for c in t.column_names if c not in cols}
     out = pa.table(dict(zip(cols.values(), gids)) | rest)
     if any(g.null_count for g in gids):
@@ -629,75 +609,96 @@ def _translate(t: pa.Table, cols: dict, V: int, oids=None) -> pa.Table:
     return out
 
 
-def _to_gids(ds, meta: GraphMeta, cols: dict, dict_ref=None):
-    """How ``ds``'s oid columns ``cols`` reach gid space, for edges and
-    vertex data: ``(block groups, oids, cols)`` for ``_route``,
-    whose tasks ``_translate`` each group.  The route depends on V alone:
+def _to_gids(groups, dictionary, cols: dict):
+    """``(groups, ranges, cols)`` for ``_route``, whose tasks
+    ``_translate`` each group's oid columns ``cols`` against its range.
+    ``dictionary`` is ``(splitters, ranges)``: the first oid of each
+    range but the first, and each range's ``(first gid, sorted oids
+    ref)``, or ``(0, V)`` for dense ints.  With several ranges each
+    column first hops to its ranges' tasks, which translate it."""
+    splitters, ranges = dictionary
+    if not splitters:
+        return groups, ranges * len(groups), cols
+    splitters, dicts, done = pa.array(splitters), None, {}
+    for c in reversed(cols):  # _translate puts gid columns first
+        groups = _route(groups, splitters, c, "out", dicts, done)
+        dicts, done = ranges, {c: cols[c]}
+    return groups, dicts, done
 
-    - dense-int graphs: the oid is the gid;
-    - up to ``_BROADCAST_VERTICES``: ``pc.index_in`` against the sorted
-      oids shared through plasma (``dict_ref``, or read from
-      ``vertices/``), a zero-copy read in every task;
-    - above it: one hash join per oid column against ``vertices/``
-      (the local_vertex_map.h-style scale route); the joined blocks are
-      gid rows, so ``cols`` comes back None."""
+
+def _stored_dictionary(meta: GraphMeta):
+    """``_to_gids``' dictionary of a built graph, one ``vertices/`` file
+    (an oid range, in gid order) per read task."""
     import ray
-    import ray.data as rd
 
-    V = meta.num_vertices
     if meta.extra.get("identity_oids"):
-        return _block_groups(ds)[0], None, cols
-    if V <= _BROADCAST_VERTICES:
-        if dict_ref is None:  # a task reads it: no V-sized array in the driver
-            dict_ref = ray.remote(_dictionary_oids).remote(meta)
-        return _block_groups(ds)[0], dict_ref, cols
-    rest = [c for c in ds.schema().names if c not in cols]
-    v = rd.read_parquet(meta.vertices_path, columns=["oid", "gid"])
-    for c, g in cols.items():
-        ds = ds.join(v.rename_columns({"oid": c, "gid": g}), join_type="inner",
-                     on=(c,), num_partitions=meta.num_partitions)
-    return _block_groups(ds.select_columns(list(cols.values()) + rest))[0], None, None
+        return [], [(0, meta.num_vertices)]
+    read = ray.remote(num_returns=2)(_read_range)
+    refs = [read.remote(os.path.join(meta.vertices_path, f))
+            for f in sorted(os.listdir(meta.vertices_path))]
+    firsts = ray.get([f for f, _ in refs])  # (first gid, first oid) per range
+    return [oid for _, oid in firsts[1:]], [(g, oids) for (g, _), (_, oids) in zip(firsts, refs)]
 
 
-def _dictionary_oids(meta: GraphMeta) -> pa.Array:
-    """Every oid in gid order, read from ``vertices/``."""
-    return meta._oid_range(0, meta.num_vertices - 1)
+def _read_range(path: str):
+    t = pq.read_table(path, columns=["oid", "gid"])
+    return (t["gid"][0].as_py(), t["oid"][0].as_py()), t["oid"].combine_chunks()
 
 
-def _route_group(starts: np.ndarray, direction: str, oids, cols, *items):
+def _range_of(t: pa.Table, key: str, splitters) -> np.ndarray:
+    """How many ``splitters`` sort at or before each value of column
+    ``key`` in Arrow's order (for strings, a vectorized binary search):
+    an oid's dictionary range, or a gid's owner under the inner starts."""
+    _check_oids(t, [key])
+    x, k = t.column(key), len(splitters)
+    if pa.types.is_integer(x.type):
+        return np.searchsorted(np.asarray(splitters, np.int64), x.to_numpy(), side="right")
+    lo, hi = np.zeros(len(x), np.int64), np.full(len(x), k, np.int64)
+    while (go := lo < hi).any():
+        mid = (lo + hi) // 2
+        le = pc.less_equal(splitters.take(np.minimum(mid, k - 1)), x).to_numpy(
+            zero_copy_only=False)
+        lo = np.where(go & le, mid + 1, lo)
+        hi = np.where(go & ~le, mid, hi)
+    return lo
+
+
+def _route_group(splitters, key: str, direction: str, cols, first_gid: int, oids, *items):
     """One route task: a group's rows (``_translate``d first when
-    ``cols`` names oid columns) split by the owner of their first
-    column; partition p's rows are return value p (bare when P = 1)."""
+    ``cols`` names oid columns), split by ``_range_of`` their column
+    ``key``; piece r is return value r (bare when there is one)."""
     t = _concat(items)
     if t.num_rows and cols:
-        t = _translate(t, cols, int(starts[-1]), oids)
+        t = _translate(t, cols, first_gid, oids)
     if t.num_rows and direction != "out":
         rev = pa.table({"src_gid": t.column("dst_gid"), "dst_gid": t.column("src_gid")}
                        | ({"w": t.column("w")} if "w" in t.column_names else {}))
         t = pa.concat_tables(([t] if direction == "both" else []) + [rev])
-    pieces = split_by_part(t, part_of(t.column(0).to_numpy(), starts) if t.num_rows else [],
-                           len(starts) - 1)
+    pieces = split_by_part(t, _range_of(t, key, splitters) if t.num_rows else [],
+                           len(splitters) + 1)
     return pieces if len(pieces) > 1 else pieces[0]
 
 
-def _route(groups, starts, direction: str, oids=None, cols=None) -> list:
-    """``_route_group`` over every group (block refs or CSR dirs) as
+def _route(groups, splitters, key: str, direction: str = "out", dicts=None, cols=None) -> list:
+    """``_route_group`` over every group (block refs or CSR dirs), each
+    with its dictionary range from ``dicts`` (see ``_to_gids``), as
     1-CPU tasks (half-CPU ones make Ray start and kill extra workers on
-    every call).  Returns each partition's pieces in group order once
-    every route task is done."""
+    every call).  Returns each piece's refs in group order once every
+    route task is done."""
     import ray
 
-    P = len(starts) - 1
-    route = ray.remote(num_returns=P)(_route_group)
-    pieces = [route.remote(starts, direction, oids, cols, *g) for g in groups]
-    if P == 1:  # one return value comes back as a bare ref
+    n = len(splitters) + 1
+    route = ray.remote(num_returns=n)(_route_group)
+    pieces = [route.remote(splitters, key, direction, cols, *d, *g)
+              for g, d in zip(groups, dicts or [(0, None)] * len(groups))]
+    if n == 1:  # one return value comes back as a bare ref
         pieces = [[r] for r in pieces]
     refs = [r for g in pieces for r in g]
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
-    return [[g[p] for g in pieces] for p in range(P)]
+    return [[g[p] for g in pieces] for p in range(n)]
 
 
-def _route_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=None,
+def _route_and_finish(meta: GraphMeta, direction: str, groups, dicts=None, cols=None,
                       **record) -> GraphMeta:
     """Route the groups (with a ``_to_gids`` translate, or a donor's
     CSR dirs) to their owners and write every partition's CSR from its
@@ -711,7 +712,7 @@ def _route_and_finish(meta: GraphMeta, direction: str, groups, oids=None, cols=N
 
     # ---- 5. route only: a map-side split by owner, no sort
     t0 = time.perf_counter()
-    pieces = _route(groups, meta.starts, direction, oids, cols)
+    pieces = _route(groups, meta.starts[1:-1], "src_gid", direction, dicts, cols)
     # ---- 6. one task per partition sorts its pieces into the CSR
     t1 = time.perf_counter()
     csr = ray.remote(write_csr)
@@ -768,8 +769,9 @@ def _write_vdata(vdata_ds, meta: GraphMeta):
     cols = [c for c in vdata_ds.schema().names if c != "oid"]
     if not cols:
         raise ValueError("vdata_ds needs at least one value column besides 'oid'")
-    groups, oids, key = _to_gids(vdata_ds, meta, {"oid": "gid"})
-    pieces = _route(groups, meta.starts, "out", oids, key)
+    groups, dicts, key = _to_gids(_block_groups(vdata_ds)[0], _stored_dictionary(meta),
+                                  {"oid": "gid"})
+    pieces = _route(groups, meta.starts[1:-1], "gid", "out", dicts, key)
     commit = ray.remote(_commit_vdata)
     written = ray.get([commit.remote(os.path.join(meta.work_dir, "vdata", f"part={p}"),
                                      *pieces[p]) for p in range(meta.num_partitions)])

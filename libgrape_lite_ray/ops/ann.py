@@ -79,7 +79,7 @@ def brute_topk(emb_ds, query_ids: list[int], k: int = 10,
 
     # task pool: the broadcast query matrix is a zero-copy plasma read
     # per task, and tasks reach full width immediately (no actor-pool
-    # 1->N ramp — same fix as build._to_gids)
+    # 1->N ramp)
     def partial_topk(b: pa.Table) -> pa.Table:
             Q = ray.get(q_ref)
             ids = b.column(key).to_numpy(zero_copy_only=False).astype(np.int64)

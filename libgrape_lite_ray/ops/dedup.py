@@ -397,9 +397,8 @@ def _shingle_rows(keys: list, texts: list, k: int) -> pa.Table:
 def _candidate_payload(src_ds, pairs_m, key: str, emit_fn,
                        broadcast_ids: int = 50_000_000):
     """Semi-join a corpus Dataset to the candidate-ID universe and emit
-    per-candidate payload rows via ``emit_fn(batch) -> pa.Table``.
-
-    Two routes, mirroring graph/build.py's _BROADCAST_VERTICES gate:
+    per-candidate payload rows via ``emit_fn(batch) -> pa.Table``, by
+    one of two routes:
 
     - id universe small enough (<= ``broadcast_ids``, bounded above by
       2x the pair count): ONE sorted int64 array in the object store,
@@ -435,8 +434,7 @@ def _candidate_payload(src_ds, pairs_m, key: str, emit_fn,
 
         # task pool (not actors): the plasma ray.get is zero-copy per
         # task and tasks reach full width immediately — the actor
-        # pool's 1->N ramp serialized the first blocks (same fix as
-        # build._to_gids)
+        # pool's 1->N ramp serialized the first blocks
         def filter_emit(b: pa.Table) -> pa.Table:
             ids_l = ray.get(ids_ref)
             kid = b.column(key).to_numpy(zero_copy_only=False).astype(np.int64)

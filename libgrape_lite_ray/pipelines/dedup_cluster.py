@@ -99,9 +99,8 @@ def dedup_clusters(docs_ds, work_dir: str, *, text_col: str = "text",
         eng.shutdown()
 
     # Re-attach to the corpus.  The label table covers ONLY the dup
-    # subset; when it fits the broadcast gate (same pattern as
-    # graph/build.py _to_gids and ops/dedup.py _candidate_payload) one
-    # plasma-shared sorted array turns the
+    # subset; when it fits the broadcast gate (as in ops/dedup.py
+    # _candidate_payload) one plasma-shared sorted array turns the
     # corpus-sized left_outer hash join into a plain scan with a
     # vectorized searchsorted lookup — no shuffle at all.  Above the
     # gate (a dup subset that big means the corpus is ~all dups) the

@@ -1,8 +1,9 @@
 """The build runs as plain Ray tasks over the edge Dataset's block refs:
-a graph of at most ``_BROADCAST_VERTICES`` vertices starts no Ray Data
-execution, a shattered input builds the same graph as a one-block one,
-two builds from one Dataset publish the same CSR bytes, and every build
-records its passes, the CSR pass included, in ``meta.extra["build"]``."""
+no build starts a Ray Data execution, with one dictionary range or with
+several (a small ``_ROUTE_ROWS`` forces R > 1), a shattered input builds
+the same graph as a one-block one, two builds from one Dataset publish
+the same CSR bytes, and every build records its passes, the CSR pass
+included, and its dictionary ranges in ``meta.extra["build"]``."""
 
 import math
 import os
@@ -12,6 +13,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+import libgrape_lite_ray.graph.build as build
 from libgrape_lite_ray.graph.build import (
     GraphMeta,
     build_graph,
@@ -69,7 +71,10 @@ def executions(monkeypatch):
     return made
 
 
-def test_small_builds_start_no_ray_data_execution(ray_session, tmp_work, executions):
+def test_small_builds_start_no_ray_data_execution(ray_session, tmp_work, executions,
+                                                   monkeypatch):
+    import ray.data as rd
+
     t = _edge_table()
     edges = _blocks(t, 8)
     d = build_graph(edges, os.path.join(tmp_work, "d"), P)
@@ -79,7 +84,13 @@ def test_small_builds_start_no_ray_data_execution(ray_session, tmp_work, executi
     rng = np.random.default_rng(2)
     x = build_graph(edges_from_numpy(rng.integers(0, 300, 2000), rng.integers(0, 300, 2000)),
                     os.path.join(tmp_work, "x"), P, dense_int_oids=True)
+    # several dictionary ranges, with vertex data: still plain tasks
+    monkeypatch.setattr(build, "_ROUTE_ROWS", 500)
+    vdata = rd.from_arrow(pa.table({"oid": t.column("src"), "x": np.ones(t.num_rows)}))
+    m = build_graph(edges, os.path.join(tmp_work, "m"), P, vdata_ds=vdata)
     assert executions == []
+    assert d.extra["build"]["dict_ranges"] == 1 and m.extra["build"]["dict_ranges"] > 1
+    assert _vertices(m).equals(_vertices(d)) and _csr_files(m) == _csr_files(d)
     # the views route the donor's stored edges: one per distinct pair
     distinct = len(set(zip(t.column("src").to_pylist(), t.column("dst").to_pylist())))
     assert d.num_edges == t.num_rows
@@ -97,8 +108,9 @@ def test_shattered_input_builds_the_same_graph(ray_session, tmp_work):
     assert _vertices(one).equals(_vertices(many))
     assert np.array_equal(one.starts, many.starts)
     assert _csr_files(one) == _csr_files(many)
-    # groups of up to 4M rows: at most one non-empty piece per group and partition
-    max_groups = math.ceil(t.num_rows / 4_000_000)
+    # groups of up to _ROUTE_ROWS rows: at most one non-empty piece per
+    # group and partition
+    max_groups = math.ceil(t.num_rows / build._ROUTE_ROWS)
     assert many.extra["build"]["route_pieces"] <= P * max_groups
 
 
@@ -122,7 +134,8 @@ def test_build_record(ray_session, tmp_work):
     meta = build_graph(_blocks(_edge_table(), 4), os.path.join(tmp_work, "g"), P)
     rec = GraphMeta.load(meta.work_dir).extra["build"]
     assert set(rec) == {"partials_s", "dictionary_s", "route_s", "csr_s", "rows_in",
-                        "rows_routed", "route_pieces"}
+                        "rows_routed", "route_pieces", "dict_ranges"}
+    assert rec["dict_ranges"] == 1
     assert rec["rows_routed"] == meta.num_edges
     assert rec["rows_in"] == 6000
     # one route group: one piece per partition it routed rows to

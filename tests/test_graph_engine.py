@@ -204,10 +204,10 @@ def test_sample_neighbors(ray_session, tmp_work):
 
 
 def test_join_translate_path_matches_broadcast(ray_session, tmp_work, monkeypatch):
-    """Large-dictionary build path (``_BROADCAST_VERTICES`` exceeded ->
-    two Dataset.join shuffles, the local_vertex_map-style scale route,
+    """The range-partitioned dictionary (a small ``_ROUTE_ROWS`` forces
+    R >= 3 oid ranges, each edge column one hop to its range's task, the
     grape/vertex_map/local_vertex_map.h analog) produces the same graph
-    and the same WCC results as the broadcast-dictionary path."""
+    and the same WCC results as the one-range dictionary."""
     import os
 
     import pyarrow as pa
@@ -220,8 +220,9 @@ def test_join_translate_path_matches_broadcast(ray_session, tmp_work, monkeypatc
     d = pa.array([f"https://v{i:04d}.example/" for i in dst], pa.string())
     ds = rd.from_arrow(pa.table({"src": s, "dst": d}))
     m_b = build_graph(ds, os.path.join(tmp_work, "jb"), 3, symmetrize=True)
-    monkeypatch.setattr(build, "_BROADCAST_VERTICES", 0)
+    monkeypatch.setattr(build, "_ROUTE_ROWS", 60)
     m_j = build_graph(ds, os.path.join(tmp_work, "jj"), 3, symmetrize=True)
+    assert m_b.extra["build"]["dict_ranges"] == 1 and m_j.extra["build"]["dict_ranges"] >= 3
     assert (m_j.num_vertices, m_j.num_edges) == (m_b.num_vertices, m_b.num_edges)
     want = oracle.wcc(src, dst, 100)
     for meta in (m_b, m_j):

@@ -2,7 +2,7 @@
 read only the ``vertices/`` rows they need, ``attach_oids`` serves a
 Table and a Dataset with one range read per block, ``mutate_graph``
 looks its delta up without loading the dictionary, and ``_to_gids``'
-join route translates vertex data like its broadcast route."""
+range hop translates vertex data like its one-range route."""
 
 import json
 import os
@@ -105,9 +105,10 @@ def test_attach_oids_raises_on_out_of_range_gid(ray_session, tmp_work, kind):
 
 
 def test_vdata_join_route_matches_broadcast(ray_session, tmp_work, monkeypatch):
-    """Vertex data through ``_to_gids``' join route: an oid that is not
+    """Vertex data through ``_to_gids``' range hop (a small
+    ``_ROUTE_ROWS`` forces R >= 3 dictionary ranges): an oid that is not
     a vertex is dropped, a vertex without a row reads 0, and the result
-    equals the broadcast route's."""
+    equals the one-range route's."""
     import ray.data as rd
 
     import libgrape_lite_ray.graph.build as build
@@ -127,8 +128,9 @@ def test_vdata_join_route_matches_broadcast(ray_session, tmp_work, monkeypatch):
     got = []
     for sub in ("b", "j"):
         if sub == "j":
-            monkeypatch.setattr(build, "_BROADCAST_VERTICES", 0)
+            monkeypatch.setattr(build, "_ROUTE_ROWS", 60)
         meta = build_graph(edges, os.path.join(tmp_work, sub), 3, vdata_ds=vds)
+        assert (meta.extra["build"]["dict_ranges"] >= 3) == (sub == "j")
         eng = GraphEngine(meta)
         try:
             out, _ = eng.run("vdata_sum", {"col": "val"})
