@@ -66,7 +66,7 @@ import pyarrow.parquet as pq
 
 from ..ids import split_by_part, weighted_partition_starts
 from ..sinks import _write_one
-from .fragment import csr_arrays, csr_dir, csr_edges, csr_num_edges, load_arrays, save_arrays
+from .fragment import csr_arrays, csr_dir, csr_edges, csr_num_edges, load_csr, save_arrays
 
 __all__ = ["GraphMeta", "build_graph", "edges_from_numpy", "attach_oids"]
 
@@ -227,7 +227,7 @@ def _concat(items) -> pa.Table:
 
 def _csr_table(path: str, lo: int) -> pa.Table:
     """A stored CSR's edges as ``src_gid/dst_gid`` (+ ``w``) rows."""
-    src, dst, w = csr_edges(load_arrays(path, mmap=True)[0], lo)
+    src, dst, w = csr_edges(load_csr(path), lo)
     return pa.table({"src_gid": src, "dst_gid": dst} | ({} if w is None else {"w": w}))
 
 
@@ -358,8 +358,12 @@ def _build_from_edges(edges_ds, work_dir, num_partitions, directed, symmetrize,
     oid_type = "string" if src_type in (pa.string(), pa.large_string()) else "int64"
     groups, rows_in = _block_groups(edges_ds)
     copies, t0 = 2 if symmetrize else 1, time.perf_counter()
+    # an explicit universe (vfile) adds vertices that may be in no edge
+    vgroups = _block_groups(vertices_ds)[0] if vertices_ds is not None else []
     if dense:
-        spans = [s for s in ray.get([ray.remote(_oid_span).remote(*g) for g in groups]) if s]
+        span = ray.remote(_oid_span)
+        spans = [s for s in ray.get([span.remote(("src", "dst"), *g) for g in groups]
+                                    + [span.remote(("oid",), *g) for g in vgroups]) if s]
         if not spans:
             raise ValueError("empty edge input")
         if min(lo for lo, _ in spans) < 0:
@@ -367,16 +371,15 @@ def _build_from_edges(edges_ds, work_dir, num_partitions, directed, symmetrize,
         V = max(hi for _, hi in spans) + 1
         P = min(num_partitions, max(1, V))
         t1 = time.perf_counter()
-        starts, dictionary, R = _dataset_starts(edges_ds, V, P, copies), ([], [(0, V)]), 0
+        starts, dictionary, R = _dataset_starts(groups, V, P, copies), ([], [(0, V)]), 0
     else:
         # ---- 1. one task per block group emits pre-deduped (oid, cnt)
         # endpoint partials; their row count N bounds V, so it picks the
-        # number of dictionary ranges.  An explicit universe (vfile) adds
-        # zero-weight rows, so isolated vertices get gids too
+        # number of dictionary ranges.  Declared vertices add zero-weight
+        # rows, so isolated vertices get gids too
         partial = ray.remote(num_returns=2)(_endpoint_partial)
-        parts = [partial.remote(("src", "dst"), copies, *g) for g in groups]
-        if vertices_ds is not None:
-            parts += [partial.remote(("oid",), 0, *g) for g in _block_groups(vertices_ds)[0]]
+        parts = ([partial.remote(("src", "dst"), copies, *g) for g in groups]
+                 + [partial.remote(("oid",), 0, *g) for g in vgroups])
         tables, counts = [p[0] for p in parts], ray.get([p[1] for p in parts])
         if sum(counts) == 0:
             raise ValueError("empty edge input")
@@ -504,17 +507,17 @@ def _gid_histogram(cols, V: int, B: int, weight: str | None, *blocks) -> np.ndar
     return h
 
 
-def _dataset_starts(ds, V: int, P: int, copies: int = 1) -> np.ndarray:
+def _dataset_starts(groups, V: int, P: int, copies: int = 1) -> np.ndarray:
     """``_histogram_starts`` of the ``_gid_histogram`` of every edge
-    block of ``ds`` weighed ``copies`` times (routed copies per edge, as
-    in ``_endpoint_partial``): ONE task per block group, summed here in
-    O(B) memory, never O(V)."""
+    block of the ``_block_groups`` ``groups`` weighed ``copies`` times
+    (routed copies per edge, as in ``_endpoint_partial``): ONE task per
+    block group, summed here in O(B) memory, never O(V)."""
     import ray
 
     B = min(V, _HIST_BUCKETS)
     hist = ray.remote(_gid_histogram)
     total = np.zeros(B, np.float64)
-    for ref in [hist.remote(("src", "dst"), V, B, None, *g) for g in _block_groups(ds)[0]]:
+    for ref in [hist.remote(("src", "dst"), V, B, None, *g) for g in groups]:
         total += ray.get(ref)
     total *= copies
     return _histogram_starts(total, V, P)
@@ -538,14 +541,14 @@ def _histogram_starts(hist: np.ndarray, V: int, P: int) -> np.ndarray:
     return weighted_partition_starts(ends, hist, V, P)
 
 
-def _oid_span(*blocks):
-    """``(min, max)`` over the src and dst oids of one block group, or
-    None when it holds no row."""
+def _oid_span(cols, *blocks):
+    """``(min, max)`` over the ``cols`` oids of one block group, or None
+    when it holds no row."""
     t = _concat(blocks)
     if not t.num_rows:
         return None
-    _check_oids(t, ("src", "dst"))
-    mm = [pc.min_max(t.column(c)) for c in ("src", "dst")]
+    _check_oids(t, cols)
+    mm = [pc.min_max(t.column(c)) for c in cols]
     return min(m["min"].as_py() for m in mm), max(m["max"].as_py() for m in mm)
 
 

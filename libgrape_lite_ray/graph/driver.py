@@ -346,7 +346,6 @@ class FragmentHost:
             f = self.frags[p]
             got = self._received(p, pairs).get(phase, [])
             if phase == "mirror":
-                f.export_lids.clear()
                 f.register_requests(dict(got))
             else:
                 for j, c in enumerate(f.vdata):
@@ -366,9 +365,7 @@ class FragmentHost:
                        for f in self.frags.values()))
         # the Arrow table warms the per-actor Arrow serializer path the
         # result output() uses; the array warms the exchange path
-        import pyarrow as _pa
-
-        ray.put(_pa.table({"x": np.zeros(4)}))
+        ray.put(pa.table({"x": np.zeros(4)}))
         return ray.put(np.zeros(n))
 
     def warmup_get(self, refs):
@@ -518,16 +515,12 @@ class FragmentHost:
 
     # ---------------------------------------------------------- checkpoint
     def checkpoint(self, ckpt_dir: str, rnd: int):
-        for p in self.parts:
-            self._checkpoint_one(p, ckpt_dir, rnd)
-        return True
-
-    def _checkpoint_one(self, part: int, ckpt_dir: str, rnd: int):
-        arrays, scalars = self.programs[part].state_dict()
         step_dir = os.path.join(ckpt_dir, f"step={rnd}")
         os.makedirs(step_dir, exist_ok=True)
-        # replace: a resumed run re-writes steps left without a manifest
-        save_arrays(os.path.join(step_dir, f"part={part}"), arrays, scalars, replace=True)
+        for p in self.parts:
+            # replace: a resumed run re-writes steps left without a manifest
+            save_arrays(os.path.join(step_dir, f"part={p}"), *self.programs[p].state_dict(),
+                        replace=True)
         return True
 
     def restore(self, name, params: dict, ckpt_dir: str, rnd: int):
@@ -578,12 +571,8 @@ class GraphEngine:
         P = meta.num_partitions
         H = max(1, min(int(num_hosts) if num_hosts else P, P))
         self.num_hosts = H
-        groups = [list(map(int, g)) for g in np.array_split(np.arange(P), H)]
-        self.groups = groups
-        host_of = np.empty(P, np.int64)
-        for h, g in enumerate(groups):
-            host_of[g] = h
-        self.host_of = host_of
+        self.groups = groups = [list(map(int, g)) for g in np.array_split(np.arange(P), H)]
+        self.host_of = host_of = np.repeat(np.arange(H, dtype=np.int64), [len(g) for g in groups])
         vdata_cols = meta.vdata_columns
         if (reuse_engine is not None and len(reuse_engine.actors) == H
                 and reuse_engine.groups == groups):
@@ -607,7 +596,6 @@ class GraphEngine:
             ]
         self._vdata_cols = vdata_cols
         self._wire_mirrors()
-        self.num_local_edges = sum(ray.get([a.edge_count.remote() for a in self.actors]))
         # prime plasma client connections between every actor pair once
         # (the first cross-actor object exchange otherwise costs seconds
         # on the first algorithm round)

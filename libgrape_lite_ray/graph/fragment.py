@@ -8,7 +8,9 @@ ImmutableEdgecutFragment::Init) and writes it as the array directory
 ``snapshot/part={p}/`` of the graph dir (``save_arrays``, the
 reference's Serialize), the graph dir's one edge store: views and
 ``mutate_graph`` read it back (``csr_edges``), a fragment load only
-memory-maps it.
+memory-maps it.  As the reference serializes only its CSR and
+outer-vertex list, the directory stores ``indptr/indices/outer_gids``
+(+ ``edge_w``) and a load derives the rest.
 
 - inner vertices: gids ``[lo, hi)``; local id = gid - lo.
 - ``indptr/indices``: CSR of out-edges of inner vertices; neighbor
@@ -22,9 +24,12 @@ memory-maps it.
   gid ranges, mirrors of one owner form a contiguous slice — mirror
   request lists (csr_edgecut_fragment_base.h:228-268 IOEDests analog)
   are free.
-- a CSC-style transpose (``src_by_tgt/tgt_starts/tgt_unique``, edges
-  grouped by target) built once for vectorized push-style updates
-  (np.minimum/add.reduceat over values already in that order).
+- ``out_degree`` and ``src_of_edge``: derived from ``indptr`` whenever
+  a fragment adopts a CSR (``Fragment._set_csr``).
+- a CSC-style transpose (``src_by_tgt/tgt_starts/tgt_unique/w_by_tgt``,
+  edges grouped by target) for vectorized push-style updates
+  (np.minimum/add.reduceat over values already in that order): built
+  on a pushing program's first read, once per adopted CSR.
 """
 
 from __future__ import annotations
@@ -40,12 +45,13 @@ import pyarrow.parquet as pq
 
 from ..ids import part_of
 
-__all__ = ["Fragment", "csr_arrays", "csr_dir", "csr_edges", "csr_num_edges",
+__all__ = ["Fragment", "csr_arrays", "csr_dir", "csr_edges", "csr_num_edges", "load_csr",
            "merge_edge_ops", "save_arrays", "load_arrays"]
 
-_CSR_ARRAYS = ("indices", "indptr", "outer_gids",
-               "tgt_starts", "tgt_unique", "out_degree",
-               "src_by_tgt", "src_of_edge")
+# what a CSR directory stores (``edge_w`` only when weighted)
+_CSR_STORED = ("indices", "indptr", "outer_gids", "edge_w")
+# the CSC transpose, built on its first read (``Fragment.__getattr__``)
+_CSC = ("tgt_unique", "tgt_starts", "src_by_tgt", "w_by_tgt")
 
 
 def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
@@ -81,12 +87,13 @@ def merge_edge_ops(cur_src, cur_dst, cur_w, op, src, dst, w, V: int):
 
 def csr_arrays(src: np.ndarray, dst: np.ndarray, w, lo: int, hi: int) -> dict:
     """The CSR of the inner gids ``[lo, hi)`` from gid-space edge arrays
-    in any order, as ``{name: array}``: ``indptr/indices/out_degree/
-    src_of_edge``, the mirror gids ``outer_gids``, the CSC transpose
-    ``tgt_starts/tgt_unique/src_by_tgt``, and ``edge_w/w_by_tgt`` when
-    ``w`` is given.  The build writes it per partition (``save_arrays``)
-    and an in-place mutation rebuild (``apply_edge_mutations``) adopts
-    it directly, as the reference's fragment Init ends its loader.
+    in any order, as ``{name: array}``: ``indptr/indices``, the mirror
+    gids ``outer_gids`` and, when ``w`` is given, ``edge_w`` — exactly
+    what a CSR directory stores.  The build writes it per partition
+    (``save_arrays``) and an in-place mutation rebuild
+    (``apply_edge_mutations``) adopts it directly, as the reference's
+    fragment Init ends its loader; ``Fragment._set_csr`` derives the
+    rest.
 
     Sorts by (src, dst) — immutable_csr.h:100-107 neighbour order —
     then dedups unless weighted.  Weighted multi-edges tie-break on
@@ -116,28 +123,12 @@ def csr_arrays(src: np.ndarray, dst: np.ndarray, w, lo: int, hi: int) -> dict:
     indices[inner_mask] = dst[inner_mask] - lo
     indices[~inner_mask] = ivnum + np.searchsorted(outer_gids, dst[~inner_mask])
 
-    rowlens = np.bincount(src - lo, minlength=ivnum).astype(np.int64)
-    src_of_edge = np.repeat(np.arange(ivnum, dtype=idx_t), rowlens)
-    # transpose structure for push-style per-destination reductions
-    tgt_order = np.argsort(indices, kind="stable").astype(idx_t)
-    tgt_unique, tgt_starts = np.unique(indices[tgt_order], return_index=True)
+    rowlens = np.bincount(src - lo, minlength=ivnum)
     out = {"indices": indices,
-           "indptr": np.concatenate([[0], np.cumsum(rowlens)]),
-           # post-dedup local out-degree (== global: all out-edges of an
-           # inner vertex are routed here, ev_fragment_loader.h)
-           "out_degree": rowlens,
-           "src_of_edge": src_of_edge,
-           "outer_gids": outer_gids,
-           "tgt_unique": tgt_unique,
-           "tgt_starts": tgt_starts,
-           # CSC-ordered source ids + weights: a push sweep does ONE
-           # gather (vals[src_by_tgt]) instead of gather+permute — the
-           # superstep kernels are memory-bandwidth bound, so this is a
-           # direct wall-time cut on WCC/SSSP/BFS
-           "src_by_tgt": src_of_edge[tgt_order]}
+           "indptr": np.concatenate([[0], np.cumsum(rowlens, dtype=np.int64)]),
+           "outer_gids": outer_gids}
     if w is not None:
         out["edge_w"] = w
-        out["w_by_tgt"] = w[tgt_order]
     return out
 
 
@@ -155,9 +146,10 @@ def csr_edges(arrays: dict, lo: int):
     """The one inverse of ``csr_arrays``: a partition's CSR, first gid
     ``lo``, back as gid-space edges ``(src, dst, w | None)`` in CSR
     order, for views, ``mutate_graph`` and in-place mutations."""
-    ivnum = len(arrays["indptr"]) - 1
+    indptr = arrays["indptr"]
+    ivnum = len(indptr) - 1
     idx = np.asarray(arrays["indices"], np.int64)
-    src = lo + np.asarray(arrays["src_of_edge"], np.int64)
+    src = np.repeat(np.arange(lo, lo + ivnum, dtype=np.int64), np.diff(indptr))
     dst = np.where(idx < ivnum, lo + idx, 0)
     m = idx >= ivnum
     if m.any():
@@ -195,26 +187,33 @@ def save_arrays(path: str, arrays: dict, scalars: dict | None = None,
         raise
 
 
+def _load_npy(path: str, mmap: bool) -> np.ndarray:
+    try:
+        return np.load(path, mmap_mode="r" if mmap else None, allow_pickle=False)
+    except ValueError:  # zero-length mmap: plain read
+        return np.load(path, allow_pickle=False)
+
+
 def load_arrays(path: str, mmap: bool = False) -> tuple[dict, dict | None]:
     """Read a ``save_arrays`` directory: ``({name: array}, scalars or
     None)``.  ``mmap`` maps the arrays read-only (file-backed pages
     come from the page cache and are shared across processes); without
     it every array is a private, writable copy."""
-    arrays = {}
-    for f in sorted(os.listdir(path)):
-        if not f.endswith(".npy"):
-            continue
-        p = os.path.join(path, f)
-        try:
-            arrays[f[:-4]] = np.load(p, mmap_mode="r" if mmap else None,
-                                     allow_pickle=False)
-        except ValueError:  # zero-length mmap: plain read
-            arrays[f[:-4]] = np.load(p, allow_pickle=False)
+    arrays = {f[:-4]: _load_npy(os.path.join(path, f), mmap)
+              for f in sorted(os.listdir(path)) if f.endswith(".npy")}
     sp = os.path.join(path, "scalars.json")
     if not os.path.exists(sp):
         return arrays, None
     with open(sp) as f:
         return arrays, json.load(f)
+
+
+def load_csr(path: str) -> dict:
+    """Map the stored arrays of the CSR directory ``path`` read-only,
+    ignoring any other file (a dir written when the CSR also stored
+    its derived arrays)."""
+    names = [k for k in _CSR_STORED if os.path.exists(os.path.join(path, f"{k}.npy"))]
+    return {k: _load_npy(os.path.join(path, f"{k}.npy"), True) for k in names}
 
 
 class Fragment:
@@ -236,7 +235,7 @@ class Fragment:
             raise FileNotFoundError(
                 f"{path}: no CSR of partition {self.part}; the graph dir was built "
                 f"before builds wrote one per partition, rebuild it")
-        arrays, _ = load_arrays(path, mmap=True)
+        arrays = load_csr(path)
         self._set_csr(arrays)
         # pre-fault every mapped array (one sequential pass each): pages
         # are otherwise faulted lazily DURING the first superstep, which
@@ -246,13 +245,19 @@ class Fragment:
         self._load_vdata(work_dir, vdata_cols)
 
     def _set_csr(self, arrays: dict):
-        """Adopt ``csr_arrays`` output and derive the scalars and mirror
-        bookkeeping from it (``csr`` keeps the dict for ``csr_edges``)."""
+        """Adopt a CSR (``csr_arrays`` output or a mapped CSR dir), derive
+        the rest from it and drop the CSC of the one it replaces
+        (``csr`` keeps the dict for ``csr_edges``)."""
         self.csr = arrays
-        for k in _CSR_ARRAYS:
-            setattr(self, k, arrays[k])
-        self.edge_w = arrays.get("edge_w")
-        self.w_by_tgt = arrays.get("w_by_tgt")
+        for k in _CSR_STORED:  # indices, indptr, outer_gids, edge_w (None unweighted)
+            setattr(self, k, arrays.get(k))
+        # post-dedup local out-degree (== global: all out-edges of an
+        # inner vertex are routed here, ev_fragment_loader.h)
+        self.out_degree = np.diff(self.indptr)
+        self.src_of_edge = np.repeat(np.arange(self.ivnum, dtype=self.indices.dtype),
+                                     self.out_degree)
+        for k in _CSC:
+            self.__dict__.pop(k, None)
         self.num_local_edges = len(self.indices)
         self.ovnum = len(self.outer_gids)
         self.tvnum = self.ivnum + self.ovnum
@@ -260,6 +265,18 @@ class Fragment:
         self.mirror_bounds = np.searchsorted(self.outer_gids, self.starts)
         # incoming mirror requests: requester part -> inner lids to export
         self.export_lids: dict[int, np.ndarray] = {}
+
+    def __getattr__(self, name):
+        # only reached for a missing attribute: the first read of a CSC
+        # array builds them all (edges grouped by target, each group's
+        # first edge at ``tgt_starts``); programs that never push never pay
+        if name not in _CSC:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        order = np.argsort(self.indices, kind="stable").astype(self.indices.dtype)
+        self.tgt_unique, self.tgt_starts = np.unique(self.indices[order], return_index=True)
+        self.src_by_tgt = self.src_of_edge[order]
+        self.w_by_tgt = None if self.edge_w is None else self.edge_w[order]
+        return getattr(self, name)
 
     def _load_vdata(self, work_dir: str, vdata_cols):
         # per-vertex property columns (VDATA,
@@ -296,15 +313,20 @@ class Fragment:
                 if len(vg):
                     dense[vg - self.lo] = np.asarray(
                         vt.column(c).to_pylist(), dtype=object)
-                full = np.full(self.tvnum, "", dtype=object)
             else:
                 dense = np.zeros(self.ivnum, dtype=np.float64)
                 if vt is not None and len(vg):
                     vals = vt.column(c).to_numpy(zero_copy_only=False)
                     dense[vg - self.lo] = vals.astype(np.float64)
-                # until synced, vdata_full has zeros in the outer segment
-                full = np.zeros(self.tvnum, dtype=np.float64)
             self.vdata[c] = dense
+        self._seat_vdata()
+
+    def _seat_vdata(self):
+        """Each ``vdata_full`` buffer (len tvnum) with its ``vdata`` column
+        in the inner segment; the outer (mirror) segment holds "" or 0
+        until the engine's vdata sync fills it."""
+        for c, dense in self.vdata.items():
+            full = np.full(self.tvnum, "", object) if dense.dtype == object else np.zeros(self.tvnum)
             full[: self.ivnum] = dense
             self.vdata_full[c] = full
 
@@ -325,15 +347,9 @@ class Fragment:
         ns, nd, nw = merge_edge_ops(*csr_edges(self.csr, self.lo), op, src, dst, w,
                                     int(self.starts[-1]))
         self._set_csr(csr_arrays(ns, nd, nw, self.lo, self.hi))
-        # vdata_full buffers are tvnum-sized: re-seat the inner segment;
-        # the engine re-syncs the outer (mirror) segment after the
+        # tvnum changed: the engine re-syncs the outer segment after the
         # fleet-wide mirror re-registration
-        for c, dense in self.vdata.items():
-            full = (np.full(self.tvnum, "", dtype=object)
-                    if dense.dtype == object
-                    else np.zeros(self.tvnum, dtype=dense.dtype))
-            full[: self.ivnum] = dense
-            self.vdata_full[c] = full
+        self._seat_vdata()
 
     # ---------------------------------------------------------- id helpers
     def inner_gids(self) -> np.ndarray:
@@ -348,17 +364,13 @@ class Fragment:
     # ---------------------------------------------------------- mirrors
     def mirror_requests(self) -> dict[int, np.ndarray]:
         """{owner_part: gids we hold as mirrors} (contiguous slices)."""
-        out = {}
-        for q in range(self.num_parts):
-            a, b = self.mirror_bounds[q], self.mirror_bounds[q + 1]
-            if b > a:
-                out[q] = self.outer_gids[a:b]
-        return out
+        b = self.mirror_bounds
+        return {q: self.outer_gids[b[q]:b[q + 1]] for q in range(self.num_parts) if b[q + 1] > b[q]}
 
     def register_requests(self, reqs: dict[int, np.ndarray]):
-        """Owner side: remember which inner values each requester needs."""
-        for requester, gids in reqs.items():
-            self.export_lids[int(requester)] = np.asarray(gids, dtype=np.int64) - self.lo
+        """Owner side: remember which inner values each requester needs
+        (a full re-registration: earlier requests are dropped)."""
+        self.export_lids = {int(q): np.asarray(g, np.int64) - self.lo for q, g in reqs.items()}
 
     def place_outer(self, outer: np.ndarray, pairs) -> None:
         """Write each ``(owner part, slice)`` of ``pairs`` into its
@@ -387,9 +399,8 @@ class Fragment:
         valid = self.indptr[1:] > starts
         # reduceat over NON-EMPTY segment starts only: consecutive valid
         # starts are adjacent in edge space, so each output spans exactly
-        # its own segment.  (Clamping empty trailing starts to len-1 —
-        # the previous approach — silently truncated the LAST vertex's
-        # final edge whenever a later vertex had zero edges.)
+        # its own segment (clamping empty trailing starts would truncate
+        # the last non-empty segment)
         sums = np.add.reduceat(edge_vals, starts[valid])
         out[valid] = sums
         return out
@@ -418,11 +429,7 @@ class Fragment:
         """Edge indices of the CSR rows in ``rows``; returns
         (edge_idx, lens).  Used by frontier-sparse propagation."""
         lens = (self.indptr[rows + 1] - self.indptr[rows]).astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, np.int64), lens
-        starts = np.repeat(self.indptr[rows], lens)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(lens)[:-1]]), lens
-        )
-        return starts + offs, lens
+        ends = np.cumsum(lens)
+        # edge i of the concatenated rows is indptr[row] + (i - row's first i)
+        return np.arange(ends[-1] if len(ends) else 0, dtype=np.int64) + np.repeat(
+            self.indptr[rows] - (ends - lens), lens), lens

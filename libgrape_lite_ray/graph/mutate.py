@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 from ..ids import part_of
 from .build import GraphMeta, link_tree, publish_graph_dir, save_csr
-from .fragment import csr_dir, csr_edges, csr_num_edges, load_arrays, merge_edge_ops
+from .fragment import csr_dir, csr_edges, csr_num_edges, load_csr, merge_edge_ops
 
 __all__ = ["mutate_graph", "load_delta_file", "parse_delta_lines"]
 
@@ -69,7 +69,7 @@ def _mutate_partition(work_dir: str, p: int, out_dir: str, starts,
     """Merge one partition's stored edges with its ops
     (``merge_edge_ops``, in arrival order) and write their CSR into
     ``out_dir``; returns the merged edge count."""
-    cur = csr_edges(load_arrays(csr_dir(work_dir, p), mmap=True)[0], int(starts[p]))
+    cur = csr_edges(load_csr(csr_dir(work_dir, p)), int(starts[p]))
     ns, nd, nw = merge_edge_ops(*cur, op, src, dst, w, int(starts[-1]))
     save_csr(out_dir, p, starts, ns, nd, nw)
     return len(ns)

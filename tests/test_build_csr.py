@@ -3,8 +3,10 @@ store: every graph dir a build publishes (string, dense and weighted
 builds, the undirected view, ``reverse_graph`` and ``mutate_graph``)
 holds ``snapshot/part={p}/`` for every partition p, an empty one
 included, equal to ``csr_arrays`` of that partition's input edges, and
-no ``edges/`` spool.  Views and mutations read their donor's CSRs, so
-duplicate unweighted input edges leave no trace in what they publish.
+no ``edges/`` spool.  A CSR dir stores exactly ``indices``, ``indptr``
+and ``outer_gids`` (plus ``edge_w`` when weighted).  Views and
+mutations read their donor's CSRs, so duplicate unweighted input edges
+leave no trace in what they publish.
 Engines only read the graph dir, and a dir without CSRs is refused
 with a clear error."""
 
@@ -36,6 +38,10 @@ def _star():
 def _csrs(meta: GraphMeta) -> list[dict]:
     snap = os.path.join(meta.work_dir, "snapshot")
     assert sorted(os.listdir(snap)) == sorted(f"part={p}" for p in range(meta.num_partitions))
+    stored = {"indices.npy", "indptr.npy", "outer_gids.npy"} | (
+        {"edge_w.npy"} if meta.has_weights else set())
+    for p in range(meta.num_partitions):
+        assert set(os.listdir(os.path.join(snap, f"part={p}"))) == stored, p
     return [load_arrays(os.path.join(snap, f"part={p}"))[0] for p in range(meta.num_partitions)]
 
 

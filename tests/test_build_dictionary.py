@@ -165,7 +165,8 @@ def test_bucketed_starts_equal_on_every_build_path(ray_session, tmp_work, monkey
     assert np.isin(dense.starts, bucket_starts).all(), dense.starts
 
 
-@pytest.mark.parametrize("path", ["dictionary", "dense_int", "vdata", "vdata_ranges"])
+@pytest.mark.parametrize("path", ["dictionary", "dense_int", "dense_vertices", "vdata",
+                                  "vdata_ranges"])
 def test_null_oid_is_refused(ray_session, tmp_work, path, monkeypatch):
     """A null oid names no vertex: every build path raises, naming the
     column, where it used to become a vertex or vanish with its row."""
@@ -175,14 +176,19 @@ def test_null_oid_is_refused(ray_session, tmp_work, path, monkeypatch):
 
     if path == "vdata_ranges":
         monkeypatch.setattr(build, "_ROUTE_ROWS", 2)  # 6 partial rows: R = 3
-    ints = path == "dense_int"
+    ints = path.startswith("dense")
     src = pa.array([0, 1, None, 2] if ints else ["a", "b", None, "c"])
     dst = pa.array([1, 2, 0, 0] if ints else ["b", "c", "a", "a"])
-    edges, vdata, col = rd.from_arrow(pa.table({"src": src, "dst": dst})), None, "src"
+    edges, vdata, vertices = rd.from_arrow(pa.table({"src": src, "dst": dst})), None, None
+    col = "src"
     if path.startswith("vdata"):
         edges = rd.from_arrow(pa.table({"src": dst, "dst": dst.take([1, 2, 0, 1])}))
         vdata = rd.from_arrow(pa.table({"oid": src, "x": [1.0, 2.0, 3.0, 4.0]}))
         col = "oid"
+    elif path == "dense_vertices":  # the declared universe of a dense build
+        edges = rd.from_arrow(pa.table({"src": dst, "dst": dst.take([1, 2, 0, 1])}))
+        vertices = rd.from_arrow(pa.table({"oid": src}))
+        col = "oid"
     with pytest.raises(ValueError, match=f"null oid in column '{col}'"):
         build_graph(edges, os.path.join(tmp_work, path), 2, dense_int_oids=ints,
-                    vdata_ds=vdata)
+                    vdata_ds=vdata, vertices_ds=vertices)

@@ -3,7 +3,8 @@ route task or a partition gets no row build what the rest of the input
 alone would.  A vertex-data input with no row, or with no row naming a
 vertex, loads every vertex's value as 0; a string column loads as
 strings in a partition that got none of its rows; a weighted partition
-without edges still holds its weight arrays; an empty input block
+without edges still holds its weights; a dense-int build gives a gid
+to a declared vertex above every edge oid; an empty input block
 changes no CSR byte.  A delta op other than ``a``, ``d`` or ``u`` is
 refused."""
 
@@ -100,7 +101,8 @@ def test_vdata_translate_reads_no_dictionary_in_the_driver(ray_session, tmp_work
 
 def test_weighted_empty_partition_keeps_weight_arrays(ray_session, tmp_work):
     """A star's leaves own no edge: their partitions' CSRs are empty,
-    yet weighted ones, with ``edge_w`` and ``w_by_tgt``."""
+    yet weighted ones: ``edge_w`` is stored, and ``w_by_tgt`` is
+    derived, an empty float64 array."""
     n = 50
     src, dst = np.zeros(n, np.int64), np.arange(1, n + 1)
     w = (dst % 5).astype(np.float64)
@@ -109,14 +111,30 @@ def test_weighted_empty_partition_keeps_weight_arrays(ray_session, tmp_work):
     files = [sorted(os.listdir(os.path.join(meta.work_dir, "snapshot", f"part={p}")))
              for p in range(P)]
     assert all(f == files[0] for f in files)
-    assert {"edge_w.npy", "w_by_tgt.npy"} <= set(files[0])
+    assert "edge_w.npy" in files[0] and "w_by_tgt.npy" not in files[0]
     empty = 0
     for p in range(P):
         f = Fragment(p, meta.work_dir, meta.starts)
         assert f.edge_w is not None and f.w_by_tgt is not None
         assert f.edge_w.dtype == np.float64 and len(f.edge_w) == f.num_local_edges
+        assert f.w_by_tgt.dtype == np.float64 and len(f.w_by_tgt) == f.num_local_edges
         empty += f.num_local_edges == 0
     assert empty > 0
+
+
+def test_dense_build_numbers_declared_vertices_past_the_edges(ray_session, tmp_work):
+    """Edges 0 -> 1 -> 2 and declared vertices {0, 1, 2, 9}: vertex 9
+    routes no edge, yet it gets gid 9, isolated and dangling."""
+    import ray.data as rd
+
+    vds = rd.from_arrow(pa.table({"oid": pa.array([0, 1, 2, 9], pa.int64())}))
+    meta = build_graph(edges_from_numpy(np.array([0, 1]), np.array([1, 2])),
+                       os.path.join(tmp_work, "g"), 2, dense_int_oids=True, vertices_ds=vds)
+    assert meta.num_vertices == 10 and meta.starts[-1] == 10
+    deg = np.concatenate([Fragment(p, meta.work_dir, meta.starts).out_degree
+                          for p in range(meta.num_partitions)])
+    assert deg.tolist() == [1, 1] + [0] * 8
+    assert meta.gids_of([9]).tolist() == [9]
 
 
 @pytest.mark.parametrize("symmetrize", [False, True], ids=["directed", "undirected"])

@@ -78,15 +78,15 @@ def test_dense_int_starts_driver_memory_independent_of_v(ray_session):
     bucket sums, never a V-sized array."""
     import tracemalloc
 
-    from libgrape_lite_ray.graph.build import _dataset_starts, edges_from_numpy
+    from libgrape_lite_ray.graph.build import _block_groups, _dataset_starts, edges_from_numpy
 
     V, P = 10**9, 4
     src = np.array([0, 5, 123_456_789, 500_000_000, V - 1], np.int64)
     dst = np.array([V - 1, 7, 0, 999_999, 42], np.int64)
-    ds = edges_from_numpy(src, dst).materialize()
+    groups = _block_groups(edges_from_numpy(src, dst))[0]
     tracemalloc.start()
     try:
-        starts = _dataset_starts(ds, V, P)
+        starts = _dataset_starts(groups, V, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

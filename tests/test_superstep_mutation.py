@@ -134,9 +134,14 @@ def test_program_queued_mutation(ray_session, tmp_work):
 
 def test_undirected_mutation_symmetrized(ray_session, tmp_work):
     """On a symmetrized graph a mutation applies in both directions
-    (mutate.py semantics): WCC over two rings joined mid-run."""
+    (mutate.py semantics): WCC over two rings joined mid-run equals a
+    fresh engine on the ``mutate_graph`` result, so the rebuild dropped
+    the CSC that round 1's push built."""
+    import pyarrow as pa
+
     from libgrape_lite_ray.graph.build import build_graph, edges_from_numpy
     from libgrape_lite_ray.graph.driver import GraphEngine
+    from libgrape_lite_ray.graph.mutate import mutate_graph
 
     n = 32  # ring A: 0..15, ring B: 16..31 (disconnected)
     src = np.concatenate([np.arange(15), np.arange(16, 31)]).astype(np.int64)
@@ -151,6 +156,14 @@ def test_undirected_mutation_symmetrized(ray_session, tmp_work):
     eng.shutdown()
     assert len(np.unique(comp)) == 1  # single component after the join
     assert (comp == comp[0]).all()
+    mutated = mutate_graph(meta, pa.table({"op": ["a"], "src": [3], "dst": [20]}),
+                           f"{tmp_work}/mutated")
+    eng = GraphEngine(mutated)
+    try:
+        fresh = eng.run("wcc")[0].to_pandas().sort_values("gid")["comp"].to_numpy()
+    finally:
+        eng.shutdown()
+    assert np.array_equal(comp, fresh)
 
 
 def test_unsupported_program_raises(ray_session, tmp_work):
@@ -285,6 +298,11 @@ def test_mutate_graph_matches_in_process_apply(ray_session, tmp_work):
         g = Fragment(p, new.work_dir, new.starts)
         for a, b in zip(csr_edges(f.csr, f.lo), csr_edges(g.csr, g.lo)):
             assert np.array_equal(a, b), p
+        # the rebuilt fragment derives what the stored one does
+        for k in ("out_degree", "src_of_edge", "tgt_unique", "tgt_starts", "src_by_tgt",
+                  "w_by_tgt"):
+            a, b = getattr(f, k), getattr(g, k)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (p, k)
     # the delta took effect: (1, 9) once at 0.75, (4, 12) and (7, 25) gone
     es, ed, ew = (np.concatenate(x) for x in zip(*(
         csr_edges(Fragment(p, new.work_dir, new.starts).csr, int(new.starts[p]))
